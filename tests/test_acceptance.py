@@ -12,6 +12,7 @@ import time
 
 import numpy as np
 import pytest
+from conftest import cli_env
 
 from ocbsim import codec, linksim, rates
 from ocbsim.awgn_info import (
@@ -203,15 +204,16 @@ def test_criterion_10_cli_byte_determinism(tmp_path):
         "verify": ["verify.txt"],
     }
     stable = []
+    env = cli_env()
     for name, argv in plans.items():
         a, b = tmp_path / f"{name}_a", tmp_path / f"{name}_b"
         a.mkdir(), b.mkdir()
         r1 = subprocess.run([sys.executable, "-m", "ocbsim", *argv,
                              "--out", str(a), "--threads", "1"],
-                            cwd=tmp_path, capture_output=True, text=True)
+                            cwd=tmp_path, capture_output=True, text=True, env=env)
         r2 = subprocess.run([sys.executable, "-m", "ocbsim", *argv,
                              "--out", str(b), "--threads", "4"],
-                            cwd=tmp_path, capture_output=True, text=True)
+                            cwd=tmp_path, capture_output=True, text=True, env=env)
         assert r1.returncode == 0 and r2.returncode == 0, r1.stderr + r2.stderr
         same = all((a / f).read_bytes() == (b / f).read_bytes() for f in artifacts[name])
         stable.append(same)

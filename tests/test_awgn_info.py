@@ -1,9 +1,13 @@
 """Mutual-information engine: closed-form anchors, frozen Monte Carlo
 oracles, backend agreement, and structural properties."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from numpy.polynomial.hermite import hermgauss
+from scipy.special import logsumexp
 
 from ocbsim import awgn_info as ai
 
@@ -289,3 +293,158 @@ def test_mi_is_between_zero_and_log_alphabet_size(points, sigma2):
     alphabet = ai.PointSet1D.uniform(points)
     r = ai.mi_awgn_1d(alphabet, ai.NoiseModel(sigma2))
     assert 0.0 <= r.bits <= np.log2(alphabet.size) + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# kernels against an independent reference
+#
+# The reference is the per-component algorithm the kernels replaced: one
+# scipy logsumexp over a trailing alphabet axis per mixture component, and
+# two-pass sample statistics. It shares no code with the package.
+
+LN2 = np.log(2.0)
+
+
+def _ref_log_mixture(ys, coords, probs, sigma2):
+    d2 = sum((y[..., None] - c) ** 2 for y, c in zip(ys, coords))
+    expo = -d2 / (2.0 * sigma2) + np.log(probs)
+    return logsumexp(expo, axis=-1) - 0.5 * len(ys) * np.log(2.0 * np.pi * sigma2)
+
+
+def _ref_mi_quadrature(points, probs, sigma2, order):
+    """Unclipped Gauss-Hermite I(X;Y) for a (K,) or (K, 2) alphabet."""
+    x, w = hermgauss(order)
+    n = np.sqrt(2.0 * sigma2) * x
+    dims = 1 if points.ndim == 1 else 2
+    coords = [points] if dims == 1 else [points[:, 0], points[:, 1]]
+    grids = [n] if dims == 1 else np.meshgrid(n, n, indexing="ij")
+    wts = w / np.sqrt(np.pi) if dims == 1 else np.outer(w, w) / np.pi
+    h_y = 0.0
+    for k, p_k in enumerate(probs):
+        ys = [c[k] + g for c, g in zip(coords, grids)]
+        h_y += -p_k * float((wts * _ref_log_mixture(ys, coords, probs, sigma2)).sum()) / LN2
+    return h_y - 0.5 * dims * np.log2(2.0 * np.pi * np.e * sigma2)
+
+
+def _random_alphabet(seed, dims):
+    """K in 1..16 points, a non-uniform prior with one zero, sigma2 in [1e-2, 1e2]."""
+    rng = np.random.default_rng(seed)
+    k = 1 + seed % 16
+    points = rng.normal(0.0, 1.5, (k,) if dims == 1 else (k, 2))
+    probs = rng.dirichlet(np.full(k, 0.7))
+    if k > 1:
+        probs[rng.integers(k)] = 0.0
+        probs /= probs.sum()
+    return points, probs, float(10.0 ** rng.uniform(-2.0, 2.0))
+
+
+def _clipped(bits, k):
+    return min(max(bits, 0.0), np.log2(k))
+
+
+@pytest.mark.filterwarnings("ignore:divide by zero")
+@pytest.mark.parametrize("seed", range(16))
+def test_1d_quadrature_matches_reference(seed):
+    points, probs, sigma2 = _random_alphabet(seed, 1)
+    got = ai.mi_awgn_1d(ai.PointSet1D(points, probs), ai.NoiseModel(sigma2)).bits
+    want = _clipped(_ref_mi_quadrature(points, probs, sigma2, ai.DEFAULT_QUAD_ORDER), points.size)
+    assert abs(got - want) < 1e-12
+
+
+@pytest.mark.filterwarnings("ignore:divide by zero")
+@pytest.mark.parametrize("seed", range(16))
+def test_2d_quadrature_matches_reference(seed):
+    points, probs, sigma2 = _random_alphabet(seed, 2)
+    order = 32 + 32 * (seed % 4)
+    got = ai.mi_awgn_2d(ai.PointSet2D(points, probs), ai.NoiseModel(sigma2), order).bits
+    want = _clipped(_ref_mi_quadrature(points, probs, sigma2, order), len(points))
+    assert abs(got - want) < 1e-12
+
+
+def _ref_two_pass(values):
+    values = np.concatenate(values)
+    dev = values - values.mean()
+    return values.mean(), np.sqrt((dev @ dev) / values.size / values.size)
+
+
+def _ref_monte_carlo(points, probs, groups, sigma2, samples, seed, chunk):
+    """Same draws as the package estimators; groups=None is the plain one."""
+    rng = np.random.default_rng(seed)
+    sigma = np.sqrt(sigma2)
+    dims = 1 if points.ndim == 1 else 2
+    coords = [points] if dims == 1 else [points[:, 0], points[:, 1]]
+    values = []
+    left = samples
+    while left > 0:
+        m = min(left, chunk)
+        k = rng.choice(len(probs), size=m, p=probs)
+        noise = [rng.normal(0.0, sigma, m) for _ in coords]
+        ys = [c[k] + nz for c, nz in zip(coords, noise)]
+        lnp = _ref_log_mixture(ys, coords, probs, sigma2)
+        if groups is None:
+            ln_num = -sum(nz * nz for nz in noise) / (2.0 * sigma2) - 0.5 * dims * np.log(2.0 * np.pi * sigma2)
+        else:
+            ln_num = np.empty(m)
+            for g in np.unique(groups):
+                sel, mask = groups[k] == g, groups == g
+                pr_g = probs[mask] / probs[mask].sum()
+                ln_num[sel] = _ref_log_mixture([y[sel] for y in ys], [c[mask] for c in coords], pr_g, sigma2)
+        values.append((ln_num - lnp) / LN2)
+        left -= m
+    mean, stderr = _ref_two_pass(values)
+    return max(mean, 0.0), stderr
+
+
+@pytest.mark.filterwarnings("ignore:divide by zero")
+@pytest.mark.parametrize("seed,dims,grouped", [
+    (3, 1, False), (6, 1, False), (9, 2, False), (15, 2, False), (5, 2, True), (11, 2, True),
+])
+def test_monte_carlo_matches_reference(seed, dims, grouped, monkeypatch):
+    # a small chunk size makes the estimators merge several chunks
+    monkeypatch.setattr(ai, "_MC_CHUNK", 7_000)
+    points, probs, sigma2 = _random_alphabet(seed, dims)
+    noise = ai.NoiseModel(sigma2)
+    if grouped:
+        groups = np.arange(len(probs)) % 3
+        got = ai.mi_monte_carlo_grouped(ai.PointSet2D(points, probs), groups, noise, 20_000, seed)
+    else:
+        groups = None
+        alphabet = ai.PointSet1D(points, probs) if dims == 1 else ai.PointSet2D(points, probs)
+        got = ai.mi_monte_carlo(alphabet, noise, 20_000, seed)
+    bits, stderr = _ref_monte_carlo(points, probs, groups, sigma2, 20_000, seed, 7_000)
+    assert abs(got.bits - bits) < 1e-12
+    assert abs(got.stderr - stderr) < 1e-12
+
+
+def test_mc_sample_stats_survive_a_large_offset():
+    # E[x^2] - E[x]^2 loses every digit here; merged (count, mean, M2) does not
+    rng = np.random.default_rng(4)
+    chunks = [1e8 + 1e-3 * rng.standard_normal(n) for n in (50_000, 30_000, 20_000)]
+    mean, stderr, count = ai._mc_sample_stats(iter(chunks))
+    want_mean, want_stderr = _ref_two_pass(chunks)
+    assert count == 100_000
+    assert mean == pytest.approx(want_mean, rel=1e-12)
+    assert abs(stderr - want_stderr) <= 1e-6 * want_stderr
+
+
+def test_2d_quadrature_working_set_stays_at_k_n_n():
+    # one (K, K, N, N) temporary alone would take 34 MB at K = 16, N = 128
+    alphabet = ai.PointSet2D.uniform(np.random.default_rng(1).normal(size=(16, 2)))
+    noise = ai.NoiseModel(1.0)
+    ai.mi_awgn_2d(alphabet, noise, 128)  # fill the node cache first
+    tracemalloc.start()
+    try:
+        ai.mi_awgn_2d(alphabet, noise, 128)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+def test_clip_bits_absorbs_rounding_and_refuses_larger_excursions():
+    assert ai._clip_bits(-1e-12, 4) == 0.0
+    assert ai._clip_bits(2.0 + 1e-12, 4) == 2.0
+    assert ai._clip_bits(1.25, 4) == 1.25
+    for bad in (-1e-6, 2.0 + 1e-6, float("nan")):
+        with pytest.raises(ValueError):
+            ai._clip_bits(bad, 4)

@@ -7,6 +7,7 @@ import subprocess
 import sys
 
 import pytest
+from conftest import cli_env
 
 from ocbsim.rates import CSV_COLUMNS
 
@@ -14,7 +15,7 @@ from ocbsim.rates import CSV_COLUMNS
 def run_cli(*args, cwd):
     return subprocess.run(
         [sys.executable, "-m", "ocbsim", *args],
-        cwd=cwd, capture_output=True, text=True,
+        cwd=cwd, capture_output=True, text=True, env=cli_env(),
     )
 
 
