@@ -11,8 +11,7 @@ __version__ = "0.1.0"
 from .awgn_info import (
     MiResult,
     NoiseModel,
-    PointSet1D,
-    PointSet2D,
+    PointSet,
     gaussian_capacity,
     mi_awgn_1d,
     mi_awgn_2d,
@@ -41,8 +40,7 @@ __all__ = [
     "__version__",
     "MiResult",
     "NoiseModel",
-    "PointSet1D",
-    "PointSet2D",
+    "PointSet",
     "gaussian_capacity",
     "mi_awgn_1d",
     "mi_awgn_2d",

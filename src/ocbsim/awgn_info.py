@@ -6,22 +6,28 @@ Conventions used throughout the package:
   - SNR ``gamma`` always means symbol energy over per-dimension noise
     variance, E_s / sigma2, as a linear ratio.
 
+An alphabet is one ``PointSet``: K points as a (K, D) array, D = 1 (real
+amplitudes) or D = 2 (planar points), with their prior probabilities.
+
 Two backends are provided: Gauss-Hermite quadrature (deterministic, the
 default) and a seeded Monte Carlo estimator used for cross-validation.
 
-Both backends evaluate the output log-density ln p(y) of the K-point
-Gaussian mixture the same way: the exponents ln pi_l - |y - s_l|^2 / 2 sigma2
-are laid out with the alphabet axis l first and reduced by one max-shifted
-log-sum-exp, in place. The 2D quadrature exploits the separable exponent:
-per component k it adds a (K, N) real-axis table to a (K, N) imaginary-axis
-table into one (K, N, N) array over (point l, node i, node j), so its working
-set is O(K N^2) for an order-N rule and never the (K, K, N, N) joint grid.
-The 1D quadrature evaluates all K components at once in a (K, K, N) array.
+Both build the same exponent table, ln pi_l - |y - s_l|^2 / 2 sigma2 with the
+alphabet axis l first, as the sum of one per-coordinate table per real
+dimension. The quadrature reduces it by one max-shifted log-sum-exp, in
+place. The 2D quadrature exploits the separable exponent: per component k
+it adds a (K, N) real-axis table to a (K, N) imaginary-axis table into one
+(K, N, N) array over (point l, node i, node j), so its working set is
+O(K N^2) for an order-N rule and never the (K, K, N, N) joint grid. The 1D
+quadrature evaluates all K components at once in a (K, K, N) array. The
+Monte Carlo estimator exponentiates the max-shifted (K, m) table of a chunk
+of m samples once and takes each sample's information density as a ratio
+of its column sums, so one estimator serves any grouping of the points.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -30,6 +36,7 @@ from numpy.polynomial.hermite import hermgauss
 __all__ = [
     "DEFAULT_QUAD_ORDER",
     "NoiseModel",
+    "PointSet",
     "PointSet1D",
     "PointSet2D",
     "MiResult",
@@ -85,56 +92,44 @@ def _check_probs(points: np.ndarray, probs: np.ndarray) -> None:
 
 
 @dataclass(frozen=True, eq=False)
-class PointSet1D:
-    """Real input alphabet: amplitudes with prior probabilities."""
+class PointSet:
+    """Input alphabet: K points in D = 1 or 2 real dimensions with priors.
 
-    points: np.ndarray
-    probs: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "points", np.asarray(self.points, dtype=float).reshape(-1))
-        object.__setattr__(self, "probs", np.asarray(self.probs, dtype=float).reshape(-1))
-        _check_probs(self.points, self.probs)
-
-    @classmethod
-    def uniform(cls, points) -> "PointSet1D":
-        points = np.asarray(points, dtype=float).reshape(-1)
-        return cls(points, np.full(points.shape[0], 1.0 / points.shape[0]))
-
-    @property
-    def size(self) -> int:
-        return self.points.shape[0]
-
-    def degenerate(self) -> bool:
-        return bool(np.all(self.points == self.points[0]))
-
-
-@dataclass(frozen=True, eq=False)
-class PointSet2D:
-    """Planar input alphabet: (re, im) points with prior probabilities."""
+    ``points`` is stored as a (K, D) array; a flat sequence of K amplitudes
+    is a D = 1 alphabet, and any shape but (K,), (K, 1) or (K, 2) is refused.
+    """
 
     points: np.ndarray
     probs: np.ndarray
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != 2:
-            raise ValueError("2D alphabet points must have shape (K, 2)")
+        if pts.ndim == 1:
+            pts = pts[:, None]
+        if pts.ndim != 2 or pts.shape[1] not in (1, 2):
+            raise ValueError(f"alphabet points must have shape (K,), (K, 1) or (K, 2), got {pts.shape}")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "probs", np.asarray(self.probs, dtype=float).reshape(-1))
         _check_probs(self.points, self.probs)
 
     @classmethod
-    def uniform(cls, points) -> "PointSet2D":
+    def uniform(cls, points) -> "PointSet":
         points = np.asarray(points, dtype=float)
-        return cls(points, np.full(points.shape[0], 1.0 / points.shape[0]))
+        return cls(points, np.ones(len(points)) / len(points))
 
     @property
     def size(self) -> int:
         return self.points.shape[0]
 
+    @property
+    def dims(self) -> int:
+        return self.points.shape[1]
+
     def degenerate(self) -> bool:
         return bool(np.all(self.points == self.points[0]))
+
+
+PointSet1D = PointSet2D = PointSet
 
 
 @dataclass(frozen=True)
@@ -187,16 +182,22 @@ def _log_terms(y, coords: np.ndarray, sigma2: float, log_probs=None) -> np.ndarr
     return expo
 
 
-def _log_mixture_1d(y: np.ndarray, points: np.ndarray, probs: np.ndarray, sigma2: float) -> np.ndarray:
-    """ln p(y) for the Gaussian-mixture output density, y of any shape."""
-    expo = _log_terms(y, points, sigma2, np.log(probs))
-    return _logsumexp0(expo) - 0.5 * np.log(2.0 * np.pi * sigma2)
+def _log_joint(coords, points: np.ndarray, probs: np.ndarray, sigma2: float) -> np.ndarray:
+    """ln pi_l - |y - s_l|^2 / (2 sigma2), alphabet axis l first.
+
+    ``coords`` holds one array per real dimension of y; they broadcast
+    together, so the per-dimension tables are summed out of place.
+    """
+    expo = _log_terms(coords[0], points[:, 0], sigma2, np.log(probs))
+    for y, c in zip(coords[1:], points.T[1:]):
+        expo = expo + _log_terms(y, c, sigma2)
+    return expo
 
 
-def _log_mixture_2d(yr: np.ndarray, yi: np.ndarray, points: np.ndarray, probs: np.ndarray, sigma2: float) -> np.ndarray:
-    """ln p(yr + j yi) for the planar mixture; yr and yi broadcast together."""
-    expo = _log_terms(yr, points[:, 0], sigma2, np.log(probs)) + _log_terms(yi, points[:, 1], sigma2)
-    return _logsumexp0(expo) - np.log(2.0 * np.pi * sigma2)
+def _log_mixture(coords, points: np.ndarray, probs: np.ndarray, sigma2: float) -> np.ndarray:
+    """ln p(y) for the Gaussian-mixture output density of a (K, D) alphabet."""
+    expo = _log_joint(coords, points, probs, sigma2)
+    return _logsumexp0(expo) - 0.5 * len(coords) * np.log(2.0 * np.pi * sigma2)
 
 
 def _clip_bits(bits: float, size: int) -> float:
@@ -209,26 +210,32 @@ def _clip_bits(bits: float, size: int) -> float:
     return float(min(max(bits, 0.0), top))
 
 
-def mi_awgn_1d(alphabet: PointSet1D, noise: NoiseModel, order: int = DEFAULT_QUAD_ORDER) -> MiResult:
-    """I(X;Y) for Y = X + N over a real alphabet, by Gauss-Hermite quadrature.
+def _require_dims(alphabet: PointSet, dims: int) -> None:
+    if alphabet.dims != dims:
+        raise ValueError(f"expected a {dims}-dimensional alphabet, got D = {alphabet.dims}")
+
+
+def mi_awgn_1d(alphabet: PointSet, noise: NoiseModel, order: int = DEFAULT_QUAD_ORDER) -> MiResult:
+    """I(X;Y) for Y = X + N over a real (D = 1) alphabet, by Gauss-Hermite quadrature.
 
     The output entropy H(Y) is evaluated as -sum_k pi_k E_n[log2 p(s_k + n)]
     with one Gauss-Hermite rule per mixture component, all K components in
     one (K, K, N) array; I = H(Y) - H(N).
     """
+    _require_dims(alphabet, 1)
     if alphabet.degenerate():
         return MiResult(0.0, "quadrature")
     x, w = _gh_nodes(order)
     n = np.sqrt(2.0 * noise.sigma2) * x
-    y = alphabet.points[:, None] + n
-    lnp = _log_mixture_1d(y, alphabet.points, alphabet.probs, noise.sigma2)
+    y = alphabet.points + n
+    lnp = _log_mixture((y,), alphabet.points, alphabet.probs, noise.sigma2)
     h_y = -float(alphabet.probs @ (lnp @ w)) / np.sqrt(np.pi) / LN2
     bits = h_y - noise_entropy(noise)
     return MiResult(_clip_bits(bits, alphabet.size), "quadrature")
 
 
-def mi_awgn_2d(alphabet: PointSet2D, noise: NoiseModel, order: int = DEFAULT_QUAD_ORDER) -> MiResult:
-    """I(X;Y) for a planar alphabet with iid per-dimension noise.
+def mi_awgn_2d(alphabet: PointSet, noise: NoiseModel, order: int = DEFAULT_QUAD_ORDER) -> MiResult:
+    """I(X;Y) for a planar (D = 2) alphabet with iid per-dimension noise.
 
     Tensor-product Gauss-Hermite over the two noise dimensions; H(N) counts
     both real dimensions. Per component k, ln p(s_k + n) on the N x N node
@@ -237,6 +244,7 @@ def mi_awgn_2d(alphabet: PointSet2D, noise: NoiseModel, order: int = DEFAULT_QUA
     points in place and contracted with the weights as (lnp @ w) @ w. Peak
     memory is a few (K, N, N) float64 arrays, each 2 MB at K = 16, N = 128.
     """
+    _require_dims(alphabet, 2)
     if alphabet.degenerate():
         return MiResult(0.0, "quadrature")
     x, w = _gh_nodes(order)
@@ -244,7 +252,7 @@ def mi_awgn_2d(alphabet: PointSet2D, noise: NoiseModel, order: int = DEFAULT_QUA
     acc = 0.0
     for (s_re, s_im), p_k in zip(alphabet.points, alphabet.probs):
         yr, yi = (s_re + n)[:, None], (s_im + n)[None, :]
-        lnp = _log_mixture_2d(yr, yi, alphabet.points, alphabet.probs, noise.sigma2)
+        lnp = _log_mixture((yr, yi), alphabet.points, alphabet.probs, noise.sigma2)
         acc += p_k * float((lnp @ w) @ w)
     h_y = -acc / np.pi / LN2
     bits = h_y - 2.0 * noise_entropy(noise)
@@ -274,82 +282,52 @@ def _mc_sample_stats(values_iter) -> tuple[float, float, int]:
     return mean, float(np.sqrt(var / count)), count
 
 
-def mi_monte_carlo(alphabet, noise: NoiseModel, samples: int, seed: int) -> MiResult:
+def mi_monte_carlo(alphabet: PointSet, noise: NoiseModel, samples: int, seed: int) -> MiResult:
     """Monte Carlo estimate of I(X;Y); deterministic for a fixed seed.
 
-    Sample mean of the information density log2 p(y|x) - log2 p(y), which
-    averages to -sum_k pi_k E[log2 p(s_k + n)] minus H(N) but subtracts the
-    noise entropy per sample, pairing away its variance (a degenerate
-    alphabet yields exactly 0 +/- 0). Accepts a PointSet1D or PointSet2D.
+    The grouped estimator with every point in a group of its own: the
+    sample mean of the information density log2 p(y|x) - log2 p(y).
     """
-    if samples < _MIN_MC_SAMPLES:
-        raise ValueError(f"samples must be at least {_MIN_MC_SAMPLES}, got {samples}")
-    two_dim = isinstance(alphabet, PointSet2D)
-    rng = np.random.default_rng(seed)
-    sigma = noise.sigma
-    s2 = noise.sigma2
-
-    def chunks():
-        left = samples
-        while left > 0:
-            m = min(left, _MC_CHUNK)
-            k = rng.choice(alphabet.size, size=m, p=alphabet.probs)
-            if two_dim:
-                nr = rng.normal(0.0, sigma, m)
-                ni = rng.normal(0.0, sigma, m)
-                yr = alphabet.points[k, 0] + nr
-                yi = alphabet.points[k, 1] + ni
-                lnp = _log_mixture_2d(yr, yi, alphabet.points, alphabet.probs, s2)
-                ln_cond = -(nr * nr + ni * ni) / (2.0 * s2) - np.log(2.0 * np.pi * s2)
-            else:
-                n = rng.normal(0.0, sigma, m)
-                y = alphabet.points[k] + n
-                lnp = _log_mixture_1d(y, alphabet.points, alphabet.probs, s2)
-                ln_cond = -(n * n) / (2.0 * s2) - 0.5 * np.log(2.0 * np.pi * s2)
-            yield (ln_cond - lnp) / LN2
-            left -= m
-
-    bits, stderr, _ = _mc_sample_stats(chunks())
-    return MiResult(max(bits, 0.0), "monte_carlo", stderr)
+    return mi_monte_carlo_grouped(alphabet, np.arange(alphabet.size), noise, samples, seed)
 
 
-def mi_monte_carlo_grouped(alphabet: PointSet2D, groups, noise: NoiseModel, samples: int, seed: int) -> MiResult:
+def mi_monte_carlo_grouped(alphabet: PointSet, groups, noise: NoiseModel, samples: int, seed: int) -> MiResult:
     """Monte Carlo estimate of I(G;Y) where G labels groups of points.
 
-    Direct estimator E[log2 p(y|g) - log2 p(y)]; used to cross-check the
-    chain-rule split of a layered labeling against quadrature.
+    Direct estimator E[log2 p(y|g) - log2 p(y)] for a D = 1 or D = 2
+    alphabet; used to cross-check the chain-rule split of a layered labeling
+    against quadrature. Each chunk of m samples draws the point indices,
+    then one normal(m) per dimension in order. Its (K, m) exponent table
+    ln pi_l - |y_i - s_l|^2 / (2 sigma2) is shifted by its column maximum
+    and exponentiated in place once, giving E; with ``member`` the (G, K)
+    group-indicator matrix, the density of sample i in group g is
+        ln((member @ E)[g, i] / sum_l E[l, i]) - ln pi_g,
+    since the shift and the Gaussian normalisation cancel in the ratio. A
+    degenerate alphabet yields exactly 0 +/- 0.
     """
     if samples < _MIN_MC_SAMPLES:
         raise ValueError(f"samples must be at least {_MIN_MC_SAMPLES}, got {samples}")
     groups = np.asarray(groups, dtype=int).reshape(-1)
     if groups.shape[0] != alphabet.size:
         raise ValueError("groups must label every alphabet point")
+    labels, group_of = np.unique(groups, return_inverse=True)
+    member = (group_of == np.arange(labels.size)[:, None]).astype(float)
+    ln_pg = np.log(member @ alphabet.probs)
     rng = np.random.default_rng(seed)
     sigma = noise.sigma
-    group_ids = np.unique(groups)
-    # per-group conditional alphabets with renormalized priors
-    cond = {}
-    for g in group_ids:
-        mask = groups == g
-        pg = float(alphabet.probs[mask].sum())
-        cond[int(g)] = (alphabet.points[mask], alphabet.probs[mask] / pg)
 
     def chunks():
         left = samples
         while left > 0:
             m = min(left, _MC_CHUNK)
             k = rng.choice(alphabet.size, size=m, p=alphabet.probs)
-            yr = alphabet.points[k, 0] + rng.normal(0.0, sigma, m)
-            yi = alphabet.points[k, 1] + rng.normal(0.0, sigma, m)
-            lnp = _log_mixture_2d(yr, yi, alphabet.points, alphabet.probs, noise.sigma2)
-            lnp_g = np.empty(m)
-            gk = groups[k]
-            for g in group_ids:
-                sel = gk == g
-                if np.any(sel):
-                    pts_g, pr_g = cond[int(g)]
-                    lnp_g[sel] = _log_mixture_2d(yr[sel], yi[sel], pts_g, pr_g, noise.sigma2)
-            yield (lnp_g - lnp) / LN2
+            ys = [c[k] + rng.normal(0.0, sigma, m) for c in alphabet.points.T]
+            expo = _log_joint(ys, alphabet.points, alphabet.probs, noise.sigma2)
+            expo -= expo.max(axis=0)
+            np.exp(expo, out=expo)
+            g = group_of[k]
+            ratio = (member @ expo)[g, np.arange(m)] / expo.sum(axis=0)
+            yield (np.log(ratio) - ln_pg[g]) / LN2
             left -= m
 
     mean, stderr, _ = _mc_sample_stats(chunks())
@@ -367,23 +345,20 @@ def gaussian_capacity(snr: float, dims: str = "real") -> float:
     raise ValueError(f"dims must be 'real' or 'complex', got {dims!r}")
 
 
-def _bpsk_points(gamma: float) -> PointSet1D:
+def _bpsk_points(gamma: float) -> PointSet:
     a = np.sqrt(gamma)
-    return PointSet1D.uniform([-a, a])
+    return PointSet.uniform([-a, a])
 
 
-def _qpsk_points(gamma: float) -> PointSet2D:
+def _qpsk_points(gamma: float) -> PointSet:
     # axis-aligned four points with symbol energy gamma (sigma2 = 1)
     c = np.sqrt(gamma / 2.0)
-    return PointSet2D.uniform([(c, c), (c, -c), (-c, c), (-c, -c)])
+    return PointSet.uniform([(c, c), (c, -c), (-c, c), (-c, -c)])
 
 
-def _ocb_points(alpha: float, probs=None) -> PointSet2D:
+def _ocb_points(alpha: float) -> PointSet:
     amp = np.sqrt(2.0) * alpha
-    pts = [(amp, 0.0), (0.0, amp), (-amp, 0.0), (0.0, -amp)]
-    if probs is None:
-        return PointSet2D.uniform(pts)
-    return PointSet2D(np.asarray(pts), probs)
+    return PointSet.uniform([(amp, 0.0), (0.0, amp), (-amp, 0.0), (0.0, -amp)])
 
 
 def mi_bpsk(gamma: float, order: int = DEFAULT_QUAD_ORDER) -> float:

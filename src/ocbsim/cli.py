@@ -7,9 +7,10 @@ curves    sweep the rate curves over an SNR grid -> curves.csv (+ curves.svg)
 simulate  run the two-stage coded link -> sim.csv
 verify    run the numeric cross-checks -> report (+ verify.txt)
 
-Every command accepts ``--seed``, ``--out``, ``--threads``, ``--quad-order``
-and an optional ``--config`` file of ``key = value`` lines; command-line
-flags override config-file values. Outputs are byte-identical across reruns
+Every command accepts ``--seed``, ``--out``, ``--threads`` (at least 1) and
+an optional ``--config`` file of ``key = value`` lines; ``curves`` and
+``verify`` also take ``--quad-order``. Command-line flags override
+config-file values. Outputs are byte-identical across reruns
 and across ``--threads`` settings. A plain-text manifest sidecar records the
 command, parameters, seed, version, wall-clock and output digests.
 
@@ -98,6 +99,13 @@ def _bool_opt(raw: str) -> bool:
     if low in ("0", "false", "no", "off"):
         return False
     raise ValueError(f"expected a boolean, got {raw!r}")
+
+
+def _positive_int(raw: str) -> int:
+    value = int(raw)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _float_list(raw: str) -> tuple:
@@ -383,11 +391,11 @@ def _verify_backends(rep: _Report, opt: dict, seed: int) -> None:
         qpsk_pts = np.array([[amp, amp], [-amp, amp], [amp, -amp], [-amp, -amp]])
         cases = [
             (
-                awgn_info.PointSet1D.uniform([np.sqrt(g), -np.sqrt(g)]),
+                awgn_info.PointSet.uniform([np.sqrt(g), -np.sqrt(g)]),
                 awgn_info.mi_bpsk(g, order),
             ),
             (
-                awgn_info.PointSet2D.uniform(qpsk_pts),
+                awgn_info.PointSet.uniform(qpsk_pts),
                 awgn_info.mi_qpsk(g, order),
             ),
         ]
@@ -401,7 +409,7 @@ def _verify_backends(rep: _Report, opt: dict, seed: int) -> None:
         a = np.sqrt(2.0 * g / 2.0)  # point radius at E_s = g
         axis_pts = np.array([[a, 0.0], [0.0, a], [-a, 0.0], [0.0, -a]])
         grouped = awgn_info.mi_monte_carlo_grouped(
-            awgn_info.PointSet2D.uniform(axis_pts),
+            awgn_info.PointSet.uniform(axis_pts),
             np.array([0, 1, 0, 1]),
             noise,
             samples,
@@ -530,11 +538,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="base RNG seed")
     parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--threads", type=int, default=1, help="worker processes")
-    parser.add_argument("--quad-order", dest="quad_order", type=int, default=None,
-                        help="Gauss-Hermite quadrature order (default 128)")
+    parser.add_argument("--threads", type=_positive_int, default=1, help="worker processes")
     parser.add_argument("--config", default=None,
                         help="key = value config file; flags override it")
+
+
+def _add_quad_order(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--quad-order", dest="quad_order", type=int, default=None,
+                        help="Gauss-Hermite quadrature order (default 128)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -547,6 +558,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("curves", help="sweep rate curves over an SNR grid")
     _add_common(p)
+    _add_quad_order(p)
     p.add_argument("--gamma-min", dest="gamma_min", type=float, default=None)
     p.add_argument("--gamma-max", dest="gamma_max", type=float, default=None)
     p.add_argument("--points", type=int, default=None)
@@ -573,6 +585,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run numeric cross-checks and the gap table")
     _add_common(p)
+    _add_quad_order(p)
     p.add_argument("--grid-points", dest="grid_points", type=int, default=None)
     p.add_argument("--mc-samples", dest="mc_samples", type=int, default=None)
     p.add_argument("--mc-tol", dest="mc_tol", type=float, default=None,

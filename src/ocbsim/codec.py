@@ -36,22 +36,7 @@ _BP_LLR_CLIP = 30.0
 
 def gf2_rank(mat: np.ndarray) -> int:
     """Rank of a binary matrix over GF(2)."""
-    a = (np.asarray(mat) % 2).astype(np.uint8).copy()
-    rows, cols = a.shape
-    rank = 0
-    for c in range(cols):
-        pivots = np.nonzero(a[rank:, c])[0]
-        if pivots.size == 0:
-            continue
-        p = rank + pivots[0]
-        a[[rank, p]] = a[[p, rank]]
-        elim = np.nonzero(a[:, c])[0]
-        elim = elim[elim != rank]
-        a[elim] ^= a[rank]
-        rank += 1
-        if rank == rows:
-            break
-    return rank
+    return len(_gf2_rref(mat)[1])
 
 
 def _gf2_rref(mat: np.ndarray) -> tuple[np.ndarray, list[int]]:

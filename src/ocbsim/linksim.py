@@ -12,11 +12,11 @@ into shards and of the execution order of shards.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.special import erfc
 
 from . import codec
 from .awgn_info import NoiseModel
@@ -37,9 +37,9 @@ STAGE2_MODES = ("reconstructed", "raw_hard", "genie")
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
 
-def q_function(x):
+def q_function(x: float) -> float:
     """Gaussian tail probability P(N > x) for standard normal N."""
-    return 0.5 * erfc(np.asarray(x, dtype=float) / np.sqrt(2.0))
+    return 0.5 * math.erfc(x / math.sqrt(2.0))
 
 
 @dataclass
@@ -134,7 +134,13 @@ class SimStats:
         return self.cond_errors / self.cond_events
 
     def ci95(self, which: str) -> float:
-        """95% Wald half-width for one of ber1/ber2/fer1/fer2/cond."""
+        """95% Wilson score half-width for one of ber1/ber2/fer1/fer2/cond.
+
+        The Wilson interval (Wilson 1927) is not centred on the point
+        estimate p, so this is the larger of its two distances from p, and
+        p +/- ci95 covers the interval. It stays positive at zero errors,
+        where it equals z^2 / (n + z^2).
+        """
         lookup = {
             "ber1": (self.bit_errors1, self.trials * self.k1),
             "ber2": (self.bit_errors2, self.trials * self.k2),
@@ -146,7 +152,10 @@ class SimStats:
         if n == 0:
             return float("nan")
         p = errors / n
-        return _Z95 * np.sqrt(p * (1.0 - p) / n)
+        z2n = _Z95 * _Z95 / n
+        centre = (p + 0.5 * z2n) / (1.0 + z2n)
+        half = _Z95 * math.sqrt(p * (1.0 - p) / n + 0.25 * z2n / n) / (1.0 + z2n)
+        return abs(centre - p) + half
 
 
 def _trial_rng(seed: int, trial: int) -> np.random.Generator:

@@ -2,11 +2,10 @@
 the exact chain-rule decomposition, plus superposition checks and sweeps.
 
 The claimed accounting assigns the axis stream half of the QPSK mutual
-information and the sign stream a full BPSK rate at the same symbol SNR:
+information and the sign stream a full BPSK rate at the same symbol SNR
+(the r_c1_claimed and r_c2 columns of curves.csv):
 
-    r_c1_claimed(gamma) = mi_qpsk(gamma) / 2
-    r_c2(gamma)         = mi_bpsk(gamma)
-    r_j_claimed         = r_c1_claimed + r_c2
+    r_j_claimed(gamma) = mi_qpsk(gamma) / 2 + mi_bpsk(gamma)
 
 The exact accounting decomposes the joint four-point rate by the chain rule
 I(V1,V2;Y) = I(V1;Y) + I(V2;Y|V1); its total always equals mi_qpsk(gamma).
@@ -15,7 +14,7 @@ The difference between the two accountings is reported, never asserted away.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -32,8 +31,6 @@ __all__ = [
     "RateRow",
     "SweepSpec",
     "ClaimInterval",
-    "rate_c1_claimed",
-    "rate_c2",
     "rate_ocb_claimed",
     "rate_ocb_exact",
     "check_superposition_inequality",
@@ -74,18 +71,8 @@ class RateRow:
     sum_exact: float
 
     def as_csv_values(self) -> tuple:
-        return (
-            self.gamma,
-            self.i_bpsk,
-            self.i_qpsk,
-            self.c_gauss_complex,
-            self.r_c1_claimed,
-            self.r_c2,
-            self.r_j_claimed,
-            self.i_v1_exact,
-            self.i_v2_exact,
-            self.sum_exact,
-        )
+        """The fields in declaration order, which is the CSV_COLUMNS order."""
+        return astuple(self)
 
 
 @dataclass(frozen=True)
@@ -117,19 +104,10 @@ def gamma_grid(spec: SweepSpec) -> np.ndarray:
     return np.linspace(spec.gamma_min, spec.gamma_max, spec.points)
 
 
-def rate_c1_claimed(gamma: float, order: int = DEFAULT_QUAD_ORDER) -> float:
-    """Claimed axis-stream rate: half the QPSK mutual information."""
-    return 0.5 * mi_qpsk(gamma, order)
-
-
-def rate_c2(gamma: float, order: int = DEFAULT_QUAD_ORDER) -> float:
-    """Sign-stream rate: BPSK mutual information at the symbol SNR."""
-    return mi_bpsk(gamma, order)
-
-
 def rate_ocb_claimed(gamma: float, order: int = DEFAULT_QUAD_ORDER) -> float:
-    """Claimed composite rate, the sum of the two per-stream claims."""
-    return rate_c1_claimed(gamma, order) + rate_c2(gamma, order)
+    """Claimed composite rate: half the QPSK rate (axis stream) plus the
+    BPSK rate at the symbol SNR (sign stream)."""
+    return 0.5 * mi_qpsk(gamma, order) + mi_bpsk(gamma, order)
 
 
 def rate_ocb_exact(gamma: float, order: int = DEFAULT_QUAD_ORDER) -> tuple[float, float, float]:

@@ -63,11 +63,38 @@ def test_pointset_rejects_bad_probabilities():
         ai.PointSet1D([1.0, -1.0], [1.5, -0.5])
     with pytest.raises(ValueError):
         ai.PointSet1D([], [])
+    with pytest.raises(ValueError):
+        ai.PointSet.uniform([])
 
 
 def test_pointset2d_needs_two_columns():
     with pytest.raises(ValueError):
         ai.PointSet2D(np.zeros((4, 3)), np.full(4, 0.25))
+
+
+@pytest.mark.parametrize("points,dims", [
+    ([1.0, -1.0, 0.5], 1),
+    ([[1.0], [-1.0], [0.5]], 1),
+    ([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]], 2),
+])
+def test_pointset_stores_k_by_d(points, dims):
+    alphabet = ai.PointSet.uniform(points)
+    assert alphabet.points.shape == (3, dims)
+    assert alphabet.dims == dims and alphabet.size == 3
+
+
+@pytest.mark.parametrize("shape", [(), (2, 2, 1), (4, 3), (4, 0)])
+def test_pointset_refuses_other_shapes(shape):
+    with pytest.raises(ValueError):
+        ai.PointSet(np.zeros(shape), np.full(4, 0.25))
+
+
+def test_quadrature_refuses_the_wrong_dimension():
+    noise = ai.NoiseModel(1.0)
+    with pytest.raises(ValueError):
+        ai.mi_awgn_1d(ai.PointSet.uniform([(1.0, 0.0), (-1.0, 0.0)]), noise)
+    with pytest.raises(ValueError):
+        ai.mi_awgn_2d(ai.PointSet.uniform([1.0, -1.0]), noise)
 
 
 def test_mi_result_validation():

@@ -41,6 +41,29 @@ def test_unknown_flag_is_a_usage_error(tmp_path):
     assert run_cli("curves", "--does-not-exist", cwd=tmp_path).returncode == 2
 
 
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_threads_below_one_is_a_usage_error(tmp_path, threads):
+    out = run_cli("curves", "--points", "2", "--threads", threads, cwd=tmp_path)
+    assert out.returncode == 2
+    assert "--threads" in out.stderr
+    assert not (tmp_path / "curves.csv").exists()
+
+
+def test_simulate_refuses_quad_order(tmp_path):
+    out = run_cli("simulate", "--trials", "5", "--quad-order", "64", cwd=tmp_path)
+    assert out.returncode == 2
+    assert "--quad-order" in out.stderr
+    assert not (tmp_path / "sim.csv").exists()
+
+
+def test_cli_import_loads_no_scipy(tmp_path):
+    code = "import sys, ocbsim.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
+                         capture_output=True, text=True, env=cli_env())
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
+
+
 # ---------------------------------------------------------------------------
 # curves
 

@@ -186,6 +186,30 @@ def test_conditional_rate_is_none_without_events():
     assert np.isnan(s.ci95("cond"))
 
 
+def _wilson_bounds(errors, n, z=1.959963984540054):
+    p = errors / n
+    centre = (p + z * z / (2 * n)) / (1 + z * z / n)
+    half = z / (1 + z * z / n) * np.sqrt(p * (1 - p) / n + z * z / (4 * n * n))
+    return centre - half, centre + half
+
+
+def test_ci95_is_positive_with_zero_errors():
+    s = SimStats(trials=250, k1=4, k2=4, block_len=7)
+    z2 = 1.959963984540054**2
+    assert s.ci95("ber1") == pytest.approx(z2 / (1000 + z2), rel=1e-12)
+    assert s.ci95("fer2") == pytest.approx(z2 / (250 + z2), rel=1e-12)
+    assert _wilson_bounds(0, 1000)[1] == pytest.approx(s.ci95("ber1"), rel=1e-12)
+
+
+def test_ci95_covers_the_wilson_interval():
+    s = SimStats(trials=50, k1=4, k2=4, block_len=7, bit_errors1=37, frame_errors1=12)
+    for which, errors, n in (("ber1", 37, 200), ("fer1", 12, 50)):
+        lo, hi = _wilson_bounds(errors, n)
+        p = errors / n
+        assert s.ci95(which) == pytest.approx(max(p - lo, hi - p), rel=1e-12)
+        assert p - s.ci95(which) <= lo + 1e-15 and hi - 1e-15 <= p + s.ci95(which)
+
+
 def test_stats_merge_adds_tallies():
     a = SimStats(trials=5, k1=4, k2=4, block_len=7, bit_errors1=2, cond_events=3)
     b = SimStats(trials=7, k1=4, k2=4, block_len=7, bit_errors1=1, cond_errors=1)

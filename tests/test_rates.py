@@ -19,8 +19,8 @@ W1_QUAD = 0.09501607258470601
 
 def test_claimed_rates_vanish_at_zero_snr():
     assert rates.rate_ocb_claimed(0.0) == 0.0
-    assert rates.rate_c1_claimed(0.0) == 0.0
-    assert rates.rate_c2(0.0) == 0.0
+    assert 0.5 * mi_qpsk(0.0) == 0.0
+    assert mi_bpsk(0.0) == 0.0
 
 
 def test_claimed_rate_saturates_at_two_bits():
@@ -28,8 +28,8 @@ def test_claimed_rate_saturates_at_two_bits():
 
 
 def test_claimed_axis_rate_is_bpsk_at_half_snr():
-    # mi_qpsk(g) = 2 mi_bpsk(g/2), so r_c1_claimed(2) must equal mi_bpsk(1)
-    assert rates.rate_c1_claimed(2.0) == pytest.approx(mi_bpsk(1.0), abs=1e-9)
+    # mi_qpsk(g) = 2 mi_bpsk(g/2), so the claimed axis rate at 2 must equal mi_bpsk(1)
+    assert 0.5 * mi_qpsk(2.0) == pytest.approx(mi_bpsk(1.0), abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
