@@ -265,7 +265,7 @@ _SIM_COLUMNS = (
 def cmd_simulate(args: argparse.Namespace) -> int:
     opt = _merge_options(args, _SIM_DEFAULTS, _SIM_CONVERTERS)
     code1 = _resolve_code(opt["code1"])
-    code2 = _resolve_code(opt["code2"])
+    code2 = code1 if opt["code2"] == opt["code1"] else _resolve_code(opt["code2"])
 
     lines = [",".join(_SIM_COLUMNS)]
     for row_index, sigma2 in enumerate(opt["sigma2"]):

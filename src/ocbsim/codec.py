@@ -4,6 +4,10 @@ A code is defined by its generator matrix G of shape (M, K): codeword
 v = G c mod 2 for a source word c of K bits. Log-likelihood ratios follow
 the package-wide sign convention: positive LLR favors bit 0.
 
+`encode` and `decode` take one frame, shape (K,) or (M,), or a block of T
+frames, shape (T, K) or (T, M), and return the same layout; row t of a
+block gives the same bits as frame t on its own.
+
 Built-in codes: repetition-n, systematic Hamming(7,4), identity (uncoded),
 and a (3,6)-regular LDPC built by a seeded random socket-permutation
 construction with a sum-product decoder.
@@ -30,8 +34,9 @@ __all__ = [
 ]
 
 _ML_MAX_K = 16
+_ML_METRIC_ENTRIES = 1 << 16  # frames x codewords per ML correlation chunk
 _BP_DEFAULT_ITERATIONS = 50
-_BP_LLR_CLIP = 30.0
+LLR_CLIP = 30.0  # decoders saturate message magnitudes here
 
 
 def gf2_rank(mat: np.ndarray) -> int:
@@ -61,6 +66,29 @@ def _gf2_rref(mat: np.ndarray) -> tuple[np.ndarray, list[int]]:
     return a[:r], pivots
 
 
+def _binary_matrix(mat, what: str) -> np.ndarray:
+    mat = np.asarray(mat)
+    if mat.ndim != 2:
+        raise ValueError(f"{what} must be a 2D matrix")
+    if not ((mat == 0) | (mat == 1)).all():
+        raise ValueError(f"{what} entries must be 0/1")
+    return mat.astype(np.uint8)
+
+
+def _tanner_graph(parity: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(variable of each edge, first edge of each check, edges of each check).
+
+    Edges are in row-major order, so each check's edges are contiguous:
+    reduceat over the first edges reduces check by check, and repeat by the
+    degrees spreads a per-check value back over its edges. Empty checks,
+    which constrain nothing, are left out.
+    """
+    rows = parity[parity.any(axis=1)]
+    _, var_idx = np.nonzero(rows)
+    degrees = np.count_nonzero(rows, axis=1)
+    return var_idx, np.cumsum(degrees) - degrees, degrees
+
+
 @dataclass(eq=False)
 class LinearCode:
     """A binary linear block code with an injective M x K generator."""
@@ -73,21 +101,23 @@ class LinearCode:
     _codebook: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        g = np.asarray(self.generator)
-        if g.ndim != 2:
-            raise ValueError("generator must be a 2D matrix")
-        if not np.isin(g, (0, 1)).all():
-            raise ValueError("generator entries must be 0/1")
-        g = g.astype(np.uint8)
+        g = _binary_matrix(self.generator, "generator")
         m, k = g.shape
         if not (0 < k <= m):
             raise ValueError(f"need 0 < K <= M, got K={k}, M={m}")
         if gf2_rank(g) != k:
             raise ValueError("generator must have full column rank over GF(2)")
         self.generator = g
+        self._generator32 = g.astype(np.float32)  # BLAS operand of encode
+        self._tanner = None
         if self.parity is not None:
-            self.parity = np.asarray(self.parity).astype(np.uint8)
-            if np.any((self.parity @ g) % 2):
+            self.parity = _binary_matrix(self.parity, "parity matrix")
+            if self.parity.shape[1] != m:
+                raise ValueError(f"parity matrix must have {m} columns, got {self.parity.shape[1]}")
+            self._tanner = _tanner_graph(self.parity)
+            var_idx, row_starts, _ = self._tanner
+            # each check's XOR of the generator rows it touches, bit-packed
+            if np.bitwise_xor.reduceat(np.packbits(g, axis=1)[var_idx], row_starts).any():
                 raise ValueError("parity matrix does not annihilate the generator")
         if self.source_positions is not None:
             self.source_positions = np.asarray(self.source_positions, dtype=int)
@@ -112,73 +142,113 @@ class LinearCode:
             if self.K > _ML_MAX_K:
                 raise ValueError(f"refusing to enumerate 2^{self.K} codewords")
             srcs = ((np.arange(2**self.K)[:, None] >> np.arange(self.K - 1, -1, -1)) & 1).astype(np.uint8)
-            self._codebook = (srcs @ self.generator.T) % 2
+            self._codebook = encode(self, srcs)
         return self._codebook
 
 
+def _frames(x, length: int, what: str, dtype) -> np.ndarray:
+    """x as a (T, length) block; a single frame becomes T = 1."""
+    x = np.asarray(x).astype(dtype, copy=False)
+    if x.ndim not in (1, 2) or x.shape[-1] != length:
+        raise ValueError(f"{what} must have shape ({length},) or (T, {length}), got {x.shape}")
+    return x.reshape(-1, length)
+
+
 def encode(code: LinearCode, source: np.ndarray) -> np.ndarray:
-    """Codeword v_m = xor_k g_mk c_k."""
-    c = np.asarray(source)
-    if c.shape != (code.K,):
-        raise ValueError(f"source must have length {code.K}, got shape {c.shape}")
-    return ((code.generator @ c.astype(np.uint8)) % 2).astype(np.uint8)
+    """Codeword v_m = xor_k g_mk c_k of a (K,) source word, or of each row of (T, K).
+
+    The sum runs as a float32 BLAS product, exact because every partial sum
+    is an integer of at most K, far below 2**24.
+    """
+    c = _frames(source, code.K, "source", np.float32)
+    v = ((c @ code._generator32.T) % 2).astype(np.uint8)
+    return v if np.ndim(source) == 2 else v[0]
 
 
 def decode(code: LinearCode, llr: np.ndarray, bp_iterations: int = _BP_DEFAULT_ITERATIONS) -> np.ndarray:
     """Source estimate from channel LLRs (positive favors bit 0).
 
-    Dispatch: repetition sums its LLRs, identity thresholds per bit, LDPC
-    runs sum-product belief propagation, anything else is maximum-likelihood
-    over the enumerated codebook by LLR correlation. Ties resolve toward 0.
+    llr is one frame, (M,), or a block, (T, M); the estimate is (K,) or
+    (T, K), and each row depends only on its own frame. Dispatch: repetition
+    sums its LLRs, identity thresholds per bit, LDPC runs sum-product belief
+    propagation, anything else is maximum-likelihood over the enumerated
+    codebook by LLR correlation. Ties resolve toward 0.
     """
-    llr = np.asarray(llr, dtype=float)
-    if llr.shape != (code.M,):
-        raise ValueError(f"llr must have length {code.M}, got shape {llr.shape}")
+    frames = _frames(llr, code.M, "llr", float)
     if code.kind == "repetition":
-        return np.array([0 if llr.sum() >= 0.0 else 1], dtype=np.uint8)
-    if code.kind == "identity":
-        return (llr < 0.0).astype(np.uint8)
-    if code.kind == "ldpc":
-        return _bp_decode(code, llr, bp_iterations)
-    return _ml_decode(code, llr)
+        src = (frames.sum(axis=1, keepdims=True) < 0.0).astype(np.uint8)
+    elif code.kind == "identity":
+        src = (frames < 0.0).astype(np.uint8)
+    elif code.kind == "ldpc":
+        src = _bp_decode(code, frames, bp_iterations)
+    else:
+        src = _ml_decode(code, frames)
+    return src if np.ndim(llr) == 2 else src[0]
 
 
 def _ml_decode(code: LinearCode, llr: np.ndarray) -> np.ndarray:
-    book = code.codebook()
-    metric = (1.0 - 2.0 * book) @ llr
-    best = int(np.argmax(metric))  # first maximum: lowest source word wins ties
-    src = (best >> np.arange(code.K - 1, -1, -1)) & 1
-    return src.astype(np.uint8)
+    signs = 1.0 - 2.0 * code.codebook()
+    rows = max(1, _ML_METRIC_ENTRIES // signs.shape[0])
+    best = np.empty(llr.shape[0], dtype=np.intp)
+    for i in range(0, llr.shape[0], rows):
+        # first maximum: lowest source word wins ties
+        best[i:i + rows] = np.argmax(llr[i:i + rows] @ signs.T, axis=1)
+    return ((best[:, None] >> np.arange(code.K - 1, -1, -1)) & 1).astype(np.uint8)
+
+
+def _phi(x: np.ndarray) -> np.ndarray:
+    """phi(x) = -ln tanh(x/2), self-inverse on (0, inf); overwrites x."""
+    np.clip(x, 1e-12, LLR_CLIP, out=x)
+    x *= 0.5
+    np.tanh(x, out=x)
+    np.log(x, out=x)
+    return np.negative(x, out=x)
 
 
 def _bp_decode(code: LinearCode, llr: np.ndarray, iterations: int) -> np.ndarray:
-    """Flooding sum-product decoder on the code's parity-check matrix."""
-    h = code.parity
-    check_idx, var_idx = np.nonzero(h)
-    order = np.lexsort((var_idx, check_idx))
-    check_idx, var_idx = check_idx[order], var_idx[order]
-    n_edges = check_idx.size
-    row_starts = np.searchsorted(check_idx, np.arange(h.shape[0]))
+    """Flooding sum-product decoder on a (T, M) block of frames.
 
-    def phi(x):
-        # phi(x) = -ln tanh(x/2), self-inverse on (0, inf)
-        x = np.clip(x, 1e-12, _BP_LLR_CLIP)
-        return -np.log(np.tanh(0.5 * x))
-
-    msg_c2v = np.zeros(n_edges)
-    posterior = llr.copy()
-    for _ in range(iterations):
-        msg_v2c = np.clip(posterior[var_idx] - msg_c2v, -_BP_LLR_CLIP, _BP_LLR_CLIP)
-        signs = np.where(msg_v2c < 0.0, -1.0, 1.0)
-        sign_prod = np.multiply.reduceat(signs, row_starts)[check_idx] * signs
-        mags = phi(np.abs(msg_v2c))
-        mag_sum = np.add.reduceat(mags, row_starts)[check_idx] - mags
-        msg_c2v = sign_prod * phi(mag_sum)
-        posterior = llr + np.bincount(var_idx, weights=msg_c2v, minlength=code.M)
-        hard = (posterior < 0.0).astype(np.uint8)
-        if not np.any((h @ hard) % 2):
+    Messages live in a (frames, edges) array. A frame leaves the live set
+    after the first iteration whose hard decision has a zero syndrome, so
+    each frame runs exactly the iterations it would run alone.
+    """
+    if iterations < 1:
+        raise ValueError("BP needs at least one iteration")
+    var_idx, row_starts, degrees = code._tanner
+    hard = np.zeros(llr.shape, dtype=bool)
+    live = np.arange(llr.shape[0])
+    msg_c2v = np.zeros((live.size, var_idx.size))
+    posterior = llr
+    # per-frame bincount: live frame f's variables are slots f*M .. f*M+M-1
+    slots = (np.arange(live.size) * code.M)[:, None] + var_idx
+    for it in range(iterations):
+        msg_v2c = np.take(posterior, var_idx, axis=1)
+        msg_v2c -= msg_c2v
+        np.clip(msg_v2c, -LLR_CLIP, LLR_CLIP, out=msg_v2c)
+        # an outgoing message is negative when an odd number of the check's
+        # other incoming messages are
+        negative = msg_v2c < 0.0
+        flip = np.repeat(np.bitwise_xor.reduceat(negative, row_starts, axis=1), degrees, axis=1)
+        flip ^= negative
+        mags = _phi(np.abs(msg_v2c))
+        mag_sum = np.repeat(np.add.reduceat(mags, row_starts, axis=1), degrees, axis=1)
+        mag_sum -= mags
+        msg_c2v = _phi(mag_sum)
+        msg_c2v *= 1.0 - 2.0 * flip
+        posterior = llr[live] + np.bincount(
+            slots.ravel(), weights=msg_c2v.ravel(), minlength=live.size * code.M
+        ).reshape(live.size, code.M)
+        frame_hard = posterior < 0.0
+        syndrome = np.bitwise_xor.reduceat(np.take(frame_hard, var_idx, axis=1), row_starts, axis=1)
+        done = ~syndrome.any(axis=1) if it < iterations - 1 else np.ones(live.size, dtype=bool)
+        hard[live[done]] = frame_hard[done]
+        if done.all():
             break
-    return hard[code.source_positions]
+        if done.any():
+            keep = ~done
+            live, msg_c2v, posterior = live[keep], msg_c2v[keep], posterior[keep]
+            slots = slots[: live.size]
+    return hard[:, code.source_positions].astype(np.uint8)
 
 
 def repetition_code(n: int) -> LinearCode:

@@ -6,8 +6,18 @@ decode it, rebuild the axis word, demap the sign stream on the chosen axes,
 decode it, tally errors.
 
 Reproducibility contract: trial t draws from a private generator seeded by
-SeedSequence([seed, t]), so tallies are independent of how trials are split
-into shards and of the execution order of shards.
+SeedSequence([seed, t]), in the order c1, c2, real noise, imaginary noise,
+so tallies are independent of how trials are split into shards and of the
+execution order of shards.
+
+Frames run in blocks of about BLOCK_SYMBOLS symbols. Within a block each
+frame still draws from its own generator; everything after the draws
+(encoding, mapping, demapping, decoding, tallying) runs on (T, M) arrays
+of the block's T frames at once. A frame's result does not depend on the
+block it lands in, so the block size changes speed and memory, not tallies.
+
+At sigma2 = 0 the demappers' LLRs are the noiseless limit: +-LLR_CLIP with
+the sign of the noiseless statistic, ties going to bit 0.
 """
 
 from __future__ import annotations
@@ -20,6 +30,7 @@ import numpy as np
 
 from . import codec
 from .awgn_info import NoiseModel
+from .codec import LLR_CLIP
 from .ocb import Constellation, demap_stage1, demap_stage2, map_bits, reconstruct_v1
 
 __all__ = [
@@ -35,6 +46,7 @@ __all__ = [
 STAGE2_MODES = ("reconstructed", "raw_hard", "genie")
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
+BLOCK_SYMBOLS = 4096  # symbols per block of frames (at least one frame)
 
 
 def q_function(x: float) -> float:
@@ -62,8 +74,8 @@ class LinkConfig:
             )
         if not self.alpha > 0.0:
             raise ValueError("alpha must be positive")
-        if self.sigma2 < 0.0:
-            raise ValueError("sigma2 must be nonnegative")
+        if not 0.0 <= self.sigma2 < math.inf:
+            raise ValueError("sigma2 must be finite and nonnegative")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.seed < 0:
@@ -76,7 +88,10 @@ class LinkConfig:
 
 @dataclass
 class TxBlock:
-    """One transmitted frame: source words, codewords, received samples."""
+    """Transmitted frames: source words, codewords, received samples.
+
+    Each field is one frame's vector, or a (T, length) block of T frames.
+    """
 
     c1: np.ndarray
     c2: np.ndarray
@@ -162,23 +177,45 @@ def _trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, trial]))
 
 
-def transmit_block(cfg: LinkConfig, rng: np.random.Generator) -> TxBlock:
-    """Draw a source frame, encode both streams, map, add noise."""
-    c1 = rng.integers(0, 2, size=cfg.code1.K, dtype=np.uint8)
-    c2 = rng.integers(0, 2, size=cfg.code2.K, dtype=np.uint8)
+def _transmit(cfg: LinkConfig, rngs, frames: int) -> TxBlock:
+    """One frame per generator, each drawing c1, c2, real and imaginary noise.
+
+    rngs may be a lazy iterable, so only one generator is alive at a time.
+    """
+    sigma = np.sqrt(cfg.sigma2)
+    k1, k2, m = cfg.code1.K, cfg.code2.K, cfg.code1.M
+    c1 = np.empty((frames, k1), dtype=np.uint8)
+    c2 = np.empty((frames, k2), dtype=np.uint8)
+    re = np.empty((frames, m))
+    im = np.empty((frames, m))
+    for i, rng in enumerate(rngs):
+        c1[i] = rng.integers(0, 2, size=k1, dtype=np.uint8)
+        c2[i] = rng.integers(0, 2, size=k2, dtype=np.uint8)
+        re[i] = rng.normal(0.0, sigma, m)
+        im[i] = rng.normal(0.0, sigma, m)
     v1 = codec.encode(cfg.code1, c1)
     v2 = codec.encode(cfg.code2, c2)
-    cons = Constellation(cfg.alpha)
-    sym = map_bits(v1, v2, cons)
-    sigma = np.sqrt(cfg.sigma2)
-    y = sym + rng.normal(0.0, sigma, v1.size) + 1j * rng.normal(0.0, sigma, v1.size)
+    y = map_bits(v1, v2, Constellation(cfg.alpha)) + re + 1j * im
     return TxBlock(c1, c2, v1, v2, y)
 
 
-def _run_one(cfg: LinkConfig, cons: Constellation, noise: NoiseModel, trial: int) -> tuple:
-    rng = _trial_rng(cfg.seed, trial)
-    blk = transmit_block(cfg, rng)
-    llr1 = demap_stage1(blk.y, cons, noise)
+def transmit_block(cfg: LinkConfig, rng: np.random.Generator) -> TxBlock:
+    """Draw a source frame, encode both streams, map, add noise."""
+    blk = _transmit(cfg, [rng], 1)
+    return TxBlock(*(getattr(blk, f.name)[0] for f in fields(blk)))
+
+
+def _saturated(statistic: np.ndarray) -> np.ndarray:
+    """Noiseless-limit LLRs: +-LLR_CLIP by sign, ties toward bit 0."""
+    return np.where(statistic >= 0.0, LLR_CLIP, -LLR_CLIP)
+
+
+def _tally(cfg: LinkConfig, cons: Constellation, noise: NoiseModel | None, blk: TxBlock) -> SimStats:
+    """Receive a block of frames and count its errors; noise None is sigma2 = 0."""
+    if noise is None:
+        llr1 = _saturated(np.abs(blk.y.real) - np.abs(blk.y.imag))
+    else:
+        llr1 = demap_stage1(blk.y, cons, noise)
     c1_hat = codec.decode(cfg.code1, llr1)
     if cfg.stage2_input == "reconstructed":
         v1_used = reconstruct_v1(c1_hat, cfg.code1)
@@ -186,32 +223,41 @@ def _run_one(cfg: LinkConfig, cons: Constellation, noise: NoiseModel, trial: int
         v1_used = (llr1 < 0.0).astype(np.uint8)
     else:  # genie: axis word forced correct
         v1_used = blk.v1
-    llr2 = demap_stage2(blk.y, v1_used, cons, noise)
+    if noise is None:
+        llr2 = _saturated(np.where(v1_used == 0, blk.y.real, blk.y.imag))
+    else:
+        llr2 = demap_stage2(blk.y, v1_used, cons, noise)
     c2_hat = codec.decode(cfg.code2, llr2)
 
-    be1 = int(np.count_nonzero(c1_hat != blk.c1))
-    be2 = int(np.count_nonzero(c2_hat != blk.c2))
+    be1 = np.count_nonzero(c1_hat != blk.c1, axis=1)
+    be2 = np.count_nonzero(c2_hat != blk.c2, axis=1)
     wrong_axis = v1_used != blk.v1
     v2_hard = (llr2 < 0.0).astype(np.uint8)
-    cond_events = int(np.count_nonzero(wrong_axis))
-    cond_errors = int(np.count_nonzero((v2_hard != blk.v2) & wrong_axis))
-    return be1, be2, be1 > 0, be2 > 0, cond_events, cond_errors
+    return SimStats(
+        trials=be1.size,
+        k1=cfg.code1.K,
+        k2=cfg.code2.K,
+        block_len=cfg.code1.M,
+        bit_errors1=int(be1.sum()),
+        bit_errors2=int(be2.sum()),
+        frame_errors1=int(np.count_nonzero(be1)),
+        frame_errors2=int(np.count_nonzero(be2)),
+        cond_events=int(np.count_nonzero(wrong_axis)),
+        cond_errors=int(np.count_nonzero((v2_hard != blk.v2) & wrong_axis)),
+    )
 
 
 def run_shard(cfg: LinkConfig, shard: int) -> SimStats:
     """Tallies for the trials t with t % shards == shard."""
     cons = Constellation(cfg.alpha)
-    noise = NoiseModel(cfg.sigma2)
+    noise = None if cfg.sigma2 == 0.0 else NoiseModel(cfg.sigma2)
     trial_ids = range(shard, cfg.trials, cfg.shards)
-    stats = SimStats(trials=len(trial_ids), k1=cfg.code1.K, k2=cfg.code2.K, block_len=cfg.code1.M)
-    for t in trial_ids:
-        be1, be2, fe1, fe2, ce, cx = _run_one(cfg, cons, noise, t)
-        stats.bit_errors1 += be1
-        stats.bit_errors2 += be2
-        stats.frame_errors1 += int(fe1)
-        stats.frame_errors2 += int(fe2)
-        stats.cond_events += ce
-        stats.cond_errors += cx
+    stats = SimStats(trials=0, k1=cfg.code1.K, k2=cfg.code2.K, block_len=cfg.code1.M)
+    per_block = max(1, BLOCK_SYMBOLS // cfg.code1.M)
+    for start in range(0, len(trial_ids), per_block):
+        ids = trial_ids[start:start + per_block]
+        blk = _transmit(cfg, (_trial_rng(cfg.seed, t) for t in ids), len(ids))
+        stats = stats + _tally(cfg, cons, noise, blk)
     return stats
 
 

@@ -182,6 +182,39 @@ def test_simulate_near_noiseless_run_is_clean(tmp_path):
     assert rec["cond_ber2_given_v1_err"] == "nan"
 
 
+@pytest.mark.parametrize("code", ["hamming74", "ldpc96"])
+def test_simulate_noiseless_limit_is_clean(tmp_path, code):
+    out = run_cli("simulate", "--trials", "5", "--sigma2", "0", "--code1", code,
+                  "--code2", code, cwd=tmp_path)
+    assert out.returncode == 0, out.stderr
+    header, row = (tmp_path / "sim.csv").read_text().splitlines()
+    rec = dict(zip(header.split(","), row.split(",")))
+    assert rec["gamma"] == "inf"
+    for col in ("ber1", "ber2", "fer1", "fer2", "cond_events"):
+        assert float(rec[col]) == 0.0, col
+
+
+@pytest.mark.parametrize("sigma2", ["nan", "inf", "-1"])
+def test_simulate_refuses_a_noise_variance_outside_0_inf(tmp_path, sigma2):
+    out = run_cli("simulate", "--trials", "5", "--sigma2", sigma2, cwd=tmp_path)
+    assert out.returncode == 2
+    assert not (tmp_path / "sim.csv").exists()
+
+
+def test_simulate_builds_a_shared_code_once(tmp_path, monkeypatch):
+    from ocbsim import cli
+
+    calls = []
+    resolve = cli._resolve_code
+    monkeypatch.setattr(cli, "_resolve_code", lambda token: calls.append(token) or resolve(token))
+    argv = ["simulate", "--trials", "3", "--code1", "ldpc24", "--out", str(tmp_path)]
+    assert cli.main(argv + ["--code2", "ldpc24"]) == 0
+    assert calls == ["ldpc24"]
+    calls.clear()
+    assert cli.main(argv + ["--code2", "identity24"]) == 0
+    assert calls == ["ldpc24", "identity24"]
+
+
 def test_simulate_error_propagation_columns(tmp_path):
     out = run_cli("simulate", "--code1", "identity64", "--code2", "identity64",
                   "--trials", "60", "--sigma2", "1.0", "--stage2-input", "raw_hard",

@@ -240,3 +240,122 @@ def test_builtin_code_lookup(name, k, m):
 def test_builtin_code_unknown_name():
     with pytest.raises(ValueError):
         codec.builtin_code("turbo9000")
+
+
+# ---------------------------------------------------------------------------
+# parity-matrix validation
+
+
+def test_parity_matrix_must_annihilate_the_generator():
+    g = codec.hamming74().generator
+    h = np.hstack([g[4:], np.eye(3, dtype=np.uint8)])  # [P | I]: H G = P + P = 0
+    assert codec.LinearCode(g, parity=h).parity.shape == (3, 7)
+    bad = h.copy()
+    bad[1, 0] ^= 1  # check 2 now reads d1 once too often
+    with pytest.raises(ValueError, match="annihilate"):
+        codec.LinearCode(g, parity=bad)
+    with pytest.raises(ValueError, match="annihilate"):
+        codec.LinearCode(g, parity=np.ones((1, 7), dtype=np.uint8))
+
+
+def test_parity_matrix_shape_and_entries_are_checked():
+    g = codec.hamming74().generator
+    h = np.hstack([g[4:], np.eye(3, dtype=np.uint8)])
+    with pytest.raises(ValueError):
+        codec.LinearCode(g, parity=h[:, :6])
+    with pytest.raises(ValueError):
+        codec.LinearCode(g, parity=2 * h)
+    # an all-zero check constrains nothing and is accepted
+    codec.LinearCode(g, parity=np.vstack([h, np.zeros((1, 7), dtype=np.uint8)]))
+
+
+# ---------------------------------------------------------------------------
+# blocks of frames
+
+
+_BLOCK_CODES = {
+    "repetition5": codec.repetition_code(5),
+    "identity6": codec.identity_code(6),
+    "hamming74": codec.hamming74(),
+    "ldpc96": codec.ldpc_code(96, seed=1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BLOCK_CODES))
+def test_block_encode_and_decode_match_frame_by_frame(name):
+    code = _BLOCK_CODES[name]
+    rng = np.random.default_rng(17)
+    src = rng.integers(0, 2, size=(40, code.K), dtype=np.uint8)
+    words = codec.encode(code, src)
+    assert words.shape == (40, code.M) and words.dtype == np.uint8
+    for t in range(40):
+        assert np.array_equal(words[t], codec.encode(code, src[t]))
+    # noise strong enough that some frames decode wrongly
+    llr = noiseless_llr(words, scale=1.5) + rng.normal(0.0, 1.8, size=words.shape)
+    got = codec.decode(code, llr)
+    assert got.shape == (40, code.K) and got.dtype == np.uint8
+    for t in range(40):
+        assert np.array_equal(got[t], codec.decode(code, llr[t])), f"frame {t}"
+    assert (got != src).any(axis=1).any()
+
+
+def reference_bp(code, llr, iterations=50):
+    """One frame of flooding sum-product BP: dense syndrome, edges rebuilt
+    per call. Returns (source estimate, iterations run)."""
+    h = code.parity
+    check_idx, var_idx = np.nonzero(h)
+    row_starts = np.searchsorted(check_idx, np.arange(h.shape[0]))
+
+    def phi(x):
+        x = np.clip(x, 1e-12, 30.0)
+        return -np.log(np.tanh(0.5 * x))
+
+    msg_c2v = np.zeros(check_idx.size)
+    posterior = llr.copy()
+    for it in range(1, iterations + 1):
+        msg_v2c = np.clip(posterior[var_idx] - msg_c2v, -30.0, 30.0)
+        signs = np.where(msg_v2c < 0.0, -1.0, 1.0)
+        sign_prod = np.multiply.reduceat(signs, row_starts)[check_idx] * signs
+        mags = phi(np.abs(msg_v2c))
+        mag_sum = np.add.reduceat(mags, row_starts)[check_idx] - mags
+        msg_c2v = sign_prod * phi(mag_sum)
+        posterior = llr + np.bincount(var_idx, weights=msg_c2v, minlength=code.M)
+        hard = (posterior < 0.0).astype(np.uint8)
+        if not ((h.astype(int) @ hard) % 2).any():
+            break
+    return hard[code.source_positions], it
+
+
+def test_bp_block_frames_leave_at_their_own_iteration():
+    code = codec.ldpc_code(96, seed=1)
+    rng = np.random.default_rng(5)
+    src = rng.integers(0, 2, size=(12, code.K), dtype=np.uint8)
+    llr = noiseless_llr(codec.encode(code, src), scale=2.0)
+    llr += rng.normal(0.0, np.linspace(0.0, 2.6, 12)[:, None], size=llr.shape)
+    llr[-1] = rng.normal(0.0, 1.0, size=code.M)  # no codeword near: runs to the cap
+    got = codec.decode(code, llr, bp_iterations=20)
+    iterations = []
+    for t in range(12):
+        want, it = reference_bp(code, llr[t], iterations=20)
+        assert np.array_equal(got[t], want), f"frame {t}"
+        iterations.append(it)
+    assert len(set(iterations)) >= 3, iterations
+    assert iterations[-1] == 20
+    assert np.array_equal(got[0], src[0])
+
+
+def test_bp_needs_an_iteration():
+    code = codec.ldpc_code(24)
+    with pytest.raises(ValueError):
+        codec.decode(code, np.ones(code.M), bp_iterations=0)
+
+
+@pytest.mark.parametrize("name", sorted(_BLOCK_CODES))
+def test_block_shapes_are_checked(name):
+    code = _BLOCK_CODES[name]
+    for bad in (np.zeros((2, 3, code.K)), np.zeros((4, code.K + 1)), np.zeros(()), np.zeros(code.K + 1)):
+        with pytest.raises(ValueError):
+            codec.encode(code, bad)
+    for bad in (np.zeros((2, 3, code.M)), np.zeros((4, code.M - 1)), np.zeros(()), np.zeros(code.M + 1)):
+        with pytest.raises(ValueError):
+            codec.decode(code, bad)

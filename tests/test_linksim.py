@@ -40,6 +40,8 @@ def test_config_requires_matching_block_lengths():
     [
         dict(alpha=0.0, sigma2=0.5, trials=10),
         dict(alpha=1.0, sigma2=-0.1, trials=10),
+        dict(alpha=1.0, sigma2=float("nan"), trials=10),
+        dict(alpha=1.0, sigma2=float("inf"), trials=10),
         dict(alpha=1.0, sigma2=0.5, trials=0),
         dict(alpha=1.0, sigma2=0.5, trials=10, seed=-1),
         dict(alpha=1.0, sigma2=0.5, trials=10, stage2_input="psychic"),
@@ -165,6 +167,93 @@ def test_stats_do_not_depend_on_worker_processes():
     serial = linksim.run_trials(cfg, threads=1)
     parallel = linksim.run_trials(cfg, threads=4)
     assert serial == parallel
+
+
+# ---------------------------------------------------------------------------
+# blocks of frames against the frame-by-frame chain
+
+
+def reference_run_trials(cfg):
+    """The receiver chain one frame at a time, each frame on its own
+    SeedSequence([seed, t]) generator; tallies as SimStats."""
+    from ocbsim.awgn_info import NoiseModel
+    from ocbsim.ocb import Constellation, demap_stage1, demap_stage2, map_bits, reconstruct_v1
+
+    cons, noise = Constellation(cfg.alpha), NoiseModel(cfg.sigma2)
+    stats = SimStats(trials=cfg.trials, k1=cfg.code1.K, k2=cfg.code2.K, block_len=cfg.code1.M)
+    sigma = np.sqrt(cfg.sigma2)
+    for t in range(cfg.trials):
+        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, t]))
+        c1 = rng.integers(0, 2, size=cfg.code1.K, dtype=np.uint8)
+        c2 = rng.integers(0, 2, size=cfg.code2.K, dtype=np.uint8)
+        v1 = codec.encode(cfg.code1, c1)
+        v2 = codec.encode(cfg.code2, c2)
+        y = map_bits(v1, v2, cons) + rng.normal(0.0, sigma, v1.size) + 1j * rng.normal(0.0, sigma, v1.size)
+        llr1 = demap_stage1(y, cons, noise)
+        c1_hat = codec.decode(cfg.code1, llr1)
+        if cfg.stage2_input == "reconstructed":
+            v1_used = reconstruct_v1(c1_hat, cfg.code1)
+        elif cfg.stage2_input == "raw_hard":
+            v1_used = (llr1 < 0.0).astype(np.uint8)
+        else:
+            v1_used = v1
+        llr2 = demap_stage2(y, v1_used, cons, noise)
+        c2_hat = codec.decode(cfg.code2, llr2)
+        be1 = int(np.count_nonzero(c1_hat != c1))
+        be2 = int(np.count_nonzero(c2_hat != c2))
+        wrong_axis = v1_used != v1
+        stats.bit_errors1 += be1
+        stats.bit_errors2 += be2
+        stats.frame_errors1 += int(be1 > 0)
+        stats.frame_errors2 += int(be2 > 0)
+        stats.cond_events += int(np.count_nonzero(wrong_axis))
+        stats.cond_errors += int(np.count_nonzero(((llr2 < 0.0) != v2) & wrong_axis))
+    return stats
+
+
+# (code1, code2, sigma2, trials); every trial count leaves a partial block
+_LINKS = {
+    "hamming74": (HAM, HAM, 0.6, 700),
+    "repetition7-hamming74": (codec.repetition_code(7), HAM, 0.6, 700),
+    "identity16": (codec.identity_code(16), codec.identity_code(16), 0.8, 300),
+    "ldpc96": (codec.ldpc_code(96), codec.ldpc_code(96), 0.3, 100),
+}
+
+
+@pytest.mark.parametrize("shards", [1, 3])
+@pytest.mark.parametrize("mode", linksim.STAGE2_MODES)
+@pytest.mark.parametrize("link", sorted(_LINKS))
+def test_blocks_match_the_frame_by_frame_chain(link, mode, shards):
+    code1, code2, sigma2, trials = _LINKS[link]
+    assert trials % max(1, linksim.BLOCK_SYMBOLS // code1.M) != 0
+    cfg = LinkConfig(code1, code2, alpha=INV2, sigma2=sigma2, trials=trials, seed=12,
+                     stage2_input=mode, shards=shards)
+    got = linksim.run_trials(cfg)
+    assert got == reference_run_trials(cfg)
+    assert got.frame_errors1 > 0 and got.frame_errors2 > 0
+
+
+def test_block_size_does_not_change_tallies(monkeypatch):
+    cfg = LinkConfig(HAM, HAM, alpha=INV2, sigma2=0.7, trials=230, seed=4)
+    ref = linksim.run_trials(cfg)
+    for symbols in (1, 50, 10**6):
+        monkeypatch.setattr(linksim, "BLOCK_SYMBOLS", symbols)
+        assert linksim.run_trials(cfg) == ref, symbols
+
+
+@pytest.mark.parametrize("code", [HAM, codec.ldpc_code(96)], ids=["hamming74", "ldpc96"])
+@pytest.mark.parametrize("mode", linksim.STAGE2_MODES)
+def test_noiseless_limit_is_error_free(code, mode):
+    cfg = LinkConfig(code, code, alpha=INV2, sigma2=0.0, trials=20, seed=2, stage2_input=mode)
+    stats = linksim.run_trials(cfg)
+    assert stats.trials == 20
+    assert (stats.bit_errors1, stats.bit_errors2, stats.cond_events) == (0, 0, 0)
+
+
+def test_noiseless_limit_saturates_at_the_decoder_clip():
+    stat = np.array([2.0, -0.5, 0.0, -0.0])
+    assert np.array_equal(linksim._saturated(stat), [30.0, -30.0, 30.0, 30.0])
+    assert codec.LLR_CLIP == 30.0
 
 
 # ---------------------------------------------------------------------------
