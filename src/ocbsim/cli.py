@@ -9,8 +9,9 @@ verify    run the numeric cross-checks -> report (+ verify.txt)
 
 Every command accepts ``--seed``, ``--out``, ``--threads`` (at least 1) and
 an optional ``--config`` file of ``key = value`` lines; ``curves`` and
-``verify`` also take ``--quad-order``. Command-line flags override
-config-file values. Outputs are byte-identical across reruns
+``verify`` also take ``--quad-order``. Each config line is parsed as the
+flag of the same name, and command-line flags override config-file values.
+Outputs are byte-identical across reruns
 and across ``--threads`` settings. A plain-text manifest sidecar records the
 command, parameters, seed, version, wall-clock and output digests.
 
@@ -21,6 +22,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage or config error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import sys
 import time
@@ -56,12 +58,13 @@ class _IOFailure(Exception):
 # config plumbing
 
 
-def _parse_config_file(path: str) -> dict:
+def _config_flags(path: str, keys) -> list:
+    """The ``key = value`` lines of a config file as ``--key=value`` flags."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise _IOFailure(f"cannot read config file {path}: {exc}") from exc
-    values = {}
+    flags = []
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -69,27 +72,17 @@ def _parse_config_file(path: str) -> dict:
         if "=" not in line:
             raise ConfigError(f"{path}:{ln}: expected 'key = value', got {raw!r}")
         key, _, val = line.partition("=")
-        values[key.strip().replace("-", "_")] = val.strip()
-    return values
+        key = key.strip().replace("-", "_")
+        if key not in keys:
+            raise ConfigError(f"unknown config key {key!r}")
+        flags.append(f"--{key.replace('_', '-')}={val.strip()}")
+    return flags
 
 
-def _merge_options(args: argparse.Namespace, defaults: dict, converters: dict) -> dict:
-    """defaults < config file < explicit flags; config strings get converted."""
-    merged = dict(defaults)
-    if getattr(args, "config", None):
-        for key, raw in _parse_config_file(args.config).items():
-            if key not in defaults:
-                raise ConfigError(f"unknown config key {key!r}")
-            conv = converters.get(key, str)
-            try:
-                merged[key] = conv(raw)
-            except ValueError as exc:
-                raise ConfigError(f"bad value for {key!r}: {exc}") from exc
-    for key in defaults:
-        flag_val = getattr(args, key, None)
-        if flag_val is not None:
-            merged[key] = flag_val
-    return merged
+def _options(args: argparse.Namespace, defaults: dict) -> dict:
+    """The command's options: parsed values, defaults where a flag was not given."""
+    return {key: default if getattr(args, key) is None else getattr(args, key)
+            for key, default in defaults.items()}
 
 
 def _bool_opt(raw: str) -> bool:
@@ -105,6 +98,13 @@ def _positive_int(raw: str) -> int:
     value = int(raw)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _non_negative_float(raw: str) -> float:
+    value = float(raw)
+    if not value >= 0.0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
     return value
 
 
@@ -155,33 +155,13 @@ def _resolve_code(token: str) -> codec.LinearCode:
 # curves
 
 
-_CURVES_DEFAULTS = {
-    "gamma_min": 0.01,
-    "gamma_max": 100.0,
-    "points": 60,
-    "spacing": "log",
-    "quad_order": 128,
-    "svg": False,
-}
-_CURVES_CONVERTERS = {
-    "gamma_min": float,
-    "gamma_max": float,
-    "points": int,
-    "spacing": str,
-    "quad_order": int,
-    "svg": _bool_opt,
-}
+_CURVES_DEFAULTS = {f.name: f.default for f in dataclasses.fields(rates.SweepSpec)}
+_CURVES_DEFAULTS["svg"] = False
 
 
 def cmd_curves(args: argparse.Namespace) -> int:
-    opt = _merge_options(args, _CURVES_DEFAULTS, _CURVES_CONVERTERS)
-    spec = rates.SweepSpec(
-        gamma_min=opt["gamma_min"],
-        gamma_max=opt["gamma_max"],
-        points=opt["points"],
-        spacing=opt["spacing"],
-        quad_order=opt["quad_order"],
-    )
+    opt = _options(args, _CURVES_DEFAULTS)
+    spec = rates.SweepSpec(**{k: v for k, v in opt.items() if k != "svg"})
     rows = rates.sweep(spec)
 
     out_dir = Path(args.out)
@@ -199,15 +179,14 @@ def cmd_curves(args: argparse.Namespace) -> int:
             y_label="bits per symbol",
             log_x=spec.spacing == "log",
         )
-        chart.add_series("Gaussian input", g, np.array([r.c_gauss_complex for r in rows]))
-        chart.add_series("QPSK", g, np.array([r.i_qpsk for r in rows]))
-        chart.add_series("BPSK", g, np.array([r.i_bpsk for r in rows]))
-        chart.add_series(
-            "layered total (claimed)", g, np.array([r.r_j_claimed for r in rows]), dash="6,3"
-        )
-        chart.add_series(
-            "layered total (exact)", g, np.array([r.sum_exact for r in rows]), dash="2,2"
-        )
+        for label, column, dash in (
+            ("Gaussian input", "c_gauss_complex", None),
+            ("QPSK", "i_qpsk", None),
+            ("BPSK", "i_bpsk", None),
+            ("layered total (claimed)", "r_j_claimed", "6,3"),
+            ("layered total (exact)", "sum_exact", "2,2"),
+        ):
+            chart.add_series(label, g, np.array([getattr(r, column) for r in rows]), dash=dash)
         svg_path = out_dir / "curves.svg"
         _write_text(svg_path, chart.render())
         outputs.append(svg_path)
@@ -230,16 +209,6 @@ _SIM_DEFAULTS = {
     "stage2_input": "reconstructed",
     "shards": 1,
 }
-_SIM_CONVERTERS = {
-    "alpha": float,
-    "sigma2": _float_list,
-    "code1": str,
-    "code2": str,
-    "trials": int,
-    "stage2_input": str,
-    "shards": int,
-}
-
 _SIM_COLUMNS = (
     "gamma",
     "alpha",
@@ -263,7 +232,7 @@ _SIM_COLUMNS = (
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    opt = _merge_options(args, _SIM_DEFAULTS, _SIM_CONVERTERS)
+    opt = _options(args, _SIM_DEFAULTS)
     code1 = _resolve_code(opt["code1"])
     code2 = code1 if opt["code2"] == opt["code1"] else _resolve_code(opt["code2"])
 
@@ -325,20 +294,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 _VERIFY_DEFAULTS = {
-    "quad_order": 128,
+    "quad_order": awgn_info.DEFAULT_QUAD_ORDER,
     "grid_points": 60,
     "mc_samples": 200_000,
     "mc_tol": 0.0,  # 0 means: use 3 Monte Carlo standard errors
     "trials": 400,
     "gap_threshold": 0.01,
-}
-_VERIFY_CONVERTERS = {
-    "quad_order": int,
-    "grid_points": int,
-    "mc_samples": int,
-    "mc_tol": float,
-    "trials": int,
-    "gap_threshold": float,
 }
 
 _VERIFY_SNRS = (0.25, 1.0, 2.0, 4.0, 10.0)
@@ -366,18 +327,18 @@ class _Report:
         return "\n".join(self.lines) + "\n"
 
 
+def _mc_allowed(opt: dict, stderr: float) -> float:
+    """--mc-tol when set, else 3 Monte Carlo standard errors."""
+    return opt["mc_tol"] if opt["mc_tol"] > 0.0 else 3.0 * stderr
+
+
 def _verify_identities(rep: _Report, opt: dict) -> None:
     order = opt["quad_order"]
-    grid = np.geomspace(0.01, 100.0, opt["grid_points"])
-    dec = max(
-        abs(awgn_info.mi_qpsk(g, order) - 2.0 * awgn_info.mi_bpsk(g / 2.0, order))
-        for g in grid
-    )
+    rows = [rates.rate_row(g, order) for g in np.geomspace(0.01, 100.0, opt["grid_points"])]
+    dec = max(abs(r.i_qpsk - 2.0 * awgn_info.mi_bpsk(r.gamma / 2.0, order)) for r in rows)
     rep.check("qpsk_decomposition", dec, 1e-6, f"{opt['grid_points']} grid points")
-    chain = 0.0
-    for g in grid:
-        i_v1, i_v2, total = rates.rate_ocb_exact(g, order)
-        chain = max(chain, abs(total - awgn_info.mi_qpsk(g, order)))
+    # the rotated four-point set against the axis-aligned QPSK quadrature
+    chain = max(abs(r.sum_exact - r.i_qpsk) for r in rows)
     rep.check("chain_rule", chain, 1e-6, f"{opt['grid_points']} grid points")
 
 
@@ -387,39 +348,24 @@ def _verify_backends(rep: _Report, opt: dict, seed: int) -> None:
     worst = 0.0
     worst_allowed = np.inf
     for idx, g in enumerate(_VERIFY_SNRS):
-        amp = np.sqrt(g / 2.0)
-        qpsk_pts = np.array([[amp, amp], [-amp, amp], [amp, -amp], [-amp, -amp]])
-        cases = [
-            (
-                awgn_info.PointSet.uniform([np.sqrt(g), -np.sqrt(g)]),
-                awgn_info.mi_bpsk(g, order),
-            ),
-            (
-                awgn_info.PointSet.uniform(qpsk_pts),
-                awgn_info.mi_qpsk(g, order),
-            ),
-        ]
-        for kind, (alphabet, exact) in enumerate(cases):
-            mc = awgn_info.mi_monte_carlo(alphabet, noise, samples, seed + 97 * idx + kind)
-            allowed = opt["mc_tol"] if opt["mc_tol"] > 0.0 else 3.0 * mc.stderr
+        r, c = np.sqrt(g), np.sqrt(g / 2.0)
+        # (points, groups, exact rate): BPSK, QPSK, and the 2-vs-2 axis
+        # grouping of the four-point set at E_s = g, whose rate is I(V1;Y)
+        cases = (
+            ([r, -r], [0, 1], awgn_info.mi_bpsk(g, order)),
+            ([[c, c], [-c, c], [c, -c], [-c, -c]], [0, 1, 2, 3], awgn_info.mi_qpsk(g, order)),
+            ([[r, 0.0], [0.0, r], [-r, 0.0], [0.0, -r]], [0, 1, 0, 1],
+             rates.rate_ocb_exact(g, order)[0]),
+        )
+        for kind, (points, groups, exact) in enumerate(cases):
+            alphabet = awgn_info.PointSet.uniform(np.array(points))
+            mc = awgn_info.mi_monte_carlo_grouped(
+                alphabet, np.array(groups), noise, samples, seed + 97 * idx + kind
+            )
+            allowed = _mc_allowed(opt, mc.stderr)
             diff = abs(mc.bits - exact)
             if diff - allowed > worst - worst_allowed:
                 worst, worst_allowed = diff, allowed
-        # 2-vs-2 axis grouping of the four-point set
-        a = np.sqrt(2.0 * g / 2.0)  # point radius at E_s = g
-        axis_pts = np.array([[a, 0.0], [0.0, a], [-a, 0.0], [0.0, -a]])
-        grouped = awgn_info.mi_monte_carlo_grouped(
-            awgn_info.PointSet.uniform(axis_pts),
-            np.array([0, 1, 0, 1]),
-            noise,
-            samples,
-            seed + 97 * idx + 2,
-        )
-        exact_v1 = rates.rate_ocb_exact(g, order)[0]
-        allowed = opt["mc_tol"] if opt["mc_tol"] > 0.0 else 3.0 * grouped.stderr
-        diff = abs(grouped.bits - exact_v1)
-        if diff - allowed > worst - worst_allowed:
-            worst, worst_allowed = diff, allowed
     rep.check(
         "backend_agreement",
         worst,
@@ -474,27 +420,24 @@ def _verify_genie_link(rep: _Report, opt: dict, seed: int, threads: int) -> None
     p = linksim.q_function(np.sqrt(2.0) * alpha / np.sqrt(sigma2))
     n = stats.trials * code.M
     se = np.sqrt(p * (1.0 - p) / n)
-    allowed = opt["mc_tol"] if opt["mc_tol"] > 0.0 else 3.0 * se
     rep.check(
         "genie_link_q_function",
         abs(stats.ber2 - p),
-        allowed,
+        _mc_allowed(opt, se),
         f"ber2 {_fmt(stats.ber2)} vs Q {_fmt(float(p))}, {n} bits",
     )
 
 
-def _gap_table(rep: _Report, opt: dict) -> None:
-    order = opt["quad_order"]
+def _gap_table(rep: _Report, opt: dict, interval: rates.ClaimInterval) -> None:
     rep.note("")
     rep.note("claimed vs exact layered rate (bits/symbol):")
     rep.note("gamma      r_j_claimed  sum_exact    gap")
     for g in (0.1, 0.5, 1.0, 2.0, 4.0, 10.0, 40.0):
-        claimed = rates.rate_ocb_claimed(g, order)
-        exact = rates.rate_ocb_exact(g, order)[2]
+        row = rates.rate_row(g, opt["quad_order"])
         rep.note(
-            f"{g:<9g}  {claimed:<11.6f}  {exact:<11.6f}  {claimed - exact:.6f}"
+            f"{g:<9g}  {row.r_j_claimed:<11.6f}  {row.sum_exact:<11.6f}"
+            f"  {row.r_j_claimed - row.sum_exact:.6f}"
         )
-    interval = rates.find_claim_interval(opt["gap_threshold"], order=order)
     rep.note(
         f"claimed rate exceeds the QPSK rate by > {interval.threshold:g} bits for "
         f"gamma in [{interval.gamma_lo:.4g}, {interval.gamma_hi:.4g}]; "
@@ -504,7 +447,7 @@ def _gap_table(rep: _Report, opt: dict) -> None:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    opt = _merge_options(args, _VERIFY_DEFAULTS, _VERIFY_CONVERTERS)
+    opt = _options(args, _VERIFY_DEFAULTS)
     rep = _Report()
     _verify_identities(rep, opt)
     _verify_backends(rep, opt, args.seed)
@@ -518,7 +461,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         0.0,
         f"threshold {opt['gap_threshold']:g} bits",
     )
-    _gap_table(rep, opt)
+    _gap_table(rep, opt, interval)
     verdict = "all checks passed" if rep.failures == 0 else f"{rep.failures} check(s) FAILED"
     rep.note(verdict)
 
@@ -563,7 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma-max", dest="gamma_max", type=float, default=None)
     p.add_argument("--points", type=int, default=None)
     p.add_argument("--spacing", choices=("log", "linear"), default=None)
-    p.add_argument("--svg", action="store_const", const=True, default=None,
+    p.add_argument("--svg", nargs="?", const=True, type=_bool_opt, default=None,
                    help="also write curves.svg")
     p.set_defaults(func=cmd_curves)
 
@@ -586,21 +529,35 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run numeric cross-checks and the gap table")
     _add_common(p)
     _add_quad_order(p)
-    p.add_argument("--grid-points", dest="grid_points", type=int, default=None)
-    p.add_argument("--mc-samples", dest="mc_samples", type=int, default=None)
-    p.add_argument("--mc-tol", dest="mc_tol", type=float, default=None,
+    p.add_argument("--grid-points", dest="grid_points", type=_positive_int, default=None)
+    p.add_argument("--mc-samples", dest="mc_samples", type=_positive_int, default=None)
+    p.add_argument("--mc-tol", dest="mc_tol", type=_non_negative_float, default=None,
                    help="absolute tolerance for Monte Carlo checks "
-                        "(default: 3 standard errors)")
-    p.add_argument("--trials", type=int, default=None, help="genie-link trials")
+                        "(default, or 0: 3 standard errors)")
+    p.add_argument("--trials", type=_positive_int, default=None, help="genie-link trials")
     p.add_argument("--gap-threshold", dest="gap_threshold", type=float, default=None)
     p.set_defaults(func=cmd_verify)
     return parser
 
 
+_COMMAND_DEFAULTS = {
+    "curves": _CURVES_DEFAULTS,
+    "simulate": _SIM_DEFAULTS,
+    "verify": _VERIFY_DEFAULTS,
+}
+
+
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.config:
+            # config lines go in as flags right after the command name, so
+            # they get the flags' types and choices and later flags win
+            at = argv.index(args.command) + 1
+            flags = _config_flags(args.config, _COMMAND_DEFAULTS[args.command])
+            args = parser.parse_args(argv[:at] + flags + argv[at:])
         return args.func(args)
     except _IOFailure as exc:
         print(f"error: {exc}", file=sys.stderr)

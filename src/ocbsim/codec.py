@@ -15,7 +15,7 @@ construction with a sum-product decoder.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -98,17 +98,26 @@ class LinearCode:
     kind: str = "general"  # repetition | identity | ldpc | general (ML)
     parity: np.ndarray | None = None  # check matrix, required for kind="ldpc"
     source_positions: np.ndarray | None = None  # codeword indices of source bits
-    _codebook: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         g = _binary_matrix(self.generator, "generator")
         m, k = g.shape
         if not (0 < k <= m):
             raise ValueError(f"need 0 < K <= M, got K={k}, M={m}")
-        if gf2_rank(g) != k:
-            raise ValueError("generator must have full column rank over GF(2)")
+        if self.source_positions is None:
+            if gf2_rank(g) != k:
+                raise ValueError("generator must have full column rank over GF(2)")
+        else:
+            # decoders read the source bits at these positions; G's rows
+            # there being I_K also proves full column rank
+            pos = np.asarray(self.source_positions, dtype=int)
+            if (pos.shape != (k,) or ((pos < 0) | (pos >= m)).any()
+                    or not np.array_equal(g[pos], np.eye(k, dtype=np.uint8))):
+                raise ValueError(f"source positions must be {k} generator rows forming I_{k}")
+            self.source_positions = pos
         self.generator = g
         self._generator32 = g.astype(np.float32)  # BLAS operand of encode
+        self._codebook = None
         self._tanner = None
         if self.parity is not None:
             self.parity = _binary_matrix(self.parity, "parity matrix")
@@ -119,8 +128,6 @@ class LinearCode:
             # each check's XOR of the generator rows it touches, bit-packed
             if np.bitwise_xor.reduceat(np.packbits(g, axis=1)[var_idx], row_starts).any():
                 raise ValueError("parity matrix does not annihilate the generator")
-        if self.source_positions is not None:
-            self.source_positions = np.asarray(self.source_positions, dtype=int)
         if self.kind == "ldpc" and (self.parity is None or self.source_positions is None):
             raise ValueError("ldpc codes need a parity matrix and source positions")
 

@@ -24,6 +24,10 @@ _PALETTE = (
 )
 
 
+_WIDTH, _HEIGHT = 720, 480
+_MARGIN_LEFT, _MARGIN_RIGHT, _MARGIN_TOP, _MARGIN_BOTTOM = 64, 16, 36, 48
+
+
 def _fmt(x: float) -> str:
     return f"{x:.2f}"
 
@@ -44,14 +48,8 @@ class LineChart:
     title: str
     x_label: str
     y_label: str
-    width: int = 720
-    height: int = 480
     log_x: bool = True
     series: list = field(default_factory=list)
-    margin_left: int = 64
-    margin_right: int = 16
-    margin_top: int = 36
-    margin_bottom: int = 48
 
     def add_series(self, label, x, y, dash=None):
         x = np.asarray(x, dtype=float)
@@ -97,8 +95,8 @@ class LineChart:
         if not self.series:
             raise ValueError("chart has no series")
         x0, x1, y0, y1 = self._limits()
-        px0, px1 = self.margin_left, self.width - self.margin_right
-        py0, py1 = self.height - self.margin_bottom, self.margin_top
+        px0, px1 = _MARGIN_LEFT, _WIDTH - _MARGIN_RIGHT
+        py0, py1 = _HEIGHT - _MARGIN_BOTTOM, _MARGIN_TOP
 
         def sx(x):
             return px0 + (x - x0) / (x1 - x0) * (px1 - px0)
@@ -107,10 +105,10 @@ class LineChart:
             return py0 + (y - y0) / (y1 - y0) * (py1 - py0)
 
         out = [
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{self.width}" '
-            f'height="{self.height}" viewBox="0 0 {self.width} {self.height}">',
-            f'<rect width="{self.width}" height="{self.height}" fill="white"/>',
-            f'<text x="{self.width // 2}" y="20" text-anchor="middle" '
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
+            f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+            f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
+            f'<text x="{_WIDTH // 2}" y="20" text-anchor="middle" '
             f'font-family="sans-serif" font-size="14">{self.title}</text>',
         ]
         # axes and grid
@@ -139,7 +137,7 @@ class LineChart:
             'fill="none" stroke="black" stroke-width="1"/>'
         )
         out.append(
-            f'<text x="{(px0 + px1) // 2}" y="{self.height - 10}" text-anchor="middle" '
+            f'<text x="{(px0 + px1) // 2}" y="{_HEIGHT - 10}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="12">{self.x_label}</text>'
         )
         out.append(

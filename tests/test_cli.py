@@ -129,10 +129,68 @@ def test_curves_config_file_merging(tmp_path):
     assert len((flagged / "curves.csv").read_text().splitlines()) == 4
 
 
-def test_unknown_config_key_is_a_usage_error(tmp_path):
+@pytest.mark.parametrize(
+    "command,line",
+    [("curves", "metric = dB"), ("curves", "points = abc"), ("curves", "spacing = cubic"),
+     ("curves", "svg = maybe"), ("verify", "mc_tol = -1")],
+    ids=["unknown-key", "bad-int", "bad-choice", "bad-bool", "negative-mc-tol"],
+)
+def test_bad_config_line_is_a_usage_error(tmp_path, command, line):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("metric = dB\n")
-    assert run_cli("curves", "--config", str(cfg), cwd=tmp_path).returncode == 2
+    cfg.write_text(line + "\n")
+    assert run_cli(command, "--config", str(cfg), cwd=tmp_path).returncode == 2
+    assert not any(tmp_path.glob("*.manifest.txt"))
+
+
+# every option of each command, as config lines and as the same flags
+EVERY_OPTION = {
+    "curves": {"gamma-min": "0.05", "gamma_max": "40", "points": "7", "spacing": "linear",
+               "quad_order": "48", "svg": "true"},
+    "simulate": {"alpha": "0.8", "sigma2": "0.4, 0.9", "code1": "repetition3",
+                 "code2": "identity3", "trials": "50", "stage2-input": "raw_hard",
+                 "shards": "2"},
+    "verify": {"quad_order": "64", "grid_points": "3", "mc_samples": "20000",
+               "mc_tol": "0.02", "trials": "40", "gap_threshold": "0.02"},
+}
+
+
+def _artifacts(out_dir):
+    """Every file the command wrote, with the manifest's wall clock left out."""
+    return {
+        path.name: b"".join(ln for ln in path.read_bytes().splitlines(keepends=True)
+                            if not ln.startswith(b"wall_clock = "))
+        for path in sorted(out_dir.iterdir())
+    }
+
+
+@pytest.mark.parametrize("command", sorted(EVERY_OPTION))
+def test_config_file_writes_the_bytes_of_the_same_flags(tmp_path, command):
+    from ocbsim import cli
+
+    assert set(k.replace("-", "_") for k in EVERY_OPTION[command]) == set(
+        cli._COMMAND_DEFAULTS[command])
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in EVERY_OPTION[command].items()))
+    flags = []
+    for key, value in EVERY_OPTION[command].items():
+        flag = "--" + key.replace("_", "-")
+        flags += [flag] if key == "svg" else [flag, value.replace(" ", "")]
+    by_cfg, by_flags = tmp_path / "cfg", tmp_path / "flags"
+    code = cli.main([command, "--config", str(cfg), "--out", str(by_cfg)])
+    assert cli.main([command, *flags, "--out", str(by_flags)]) == code
+    assert len(_artifacts(by_cfg)) >= 2
+    assert _artifacts(by_cfg) == _artifacts(by_flags)
+
+
+@pytest.mark.parametrize("command", ["curves", "simulate", "verify"])
+def test_parsed_options_stay_none_until_given(command):
+    # the benchmark replay refuses any option that is not None
+    from ocbsim import cli
+
+    args = cli.build_parser().parse_args([command])
+    given = {k for k, v in vars(args).items() if v is not None}
+    assert given == {"command", "func", "seed", "out", "threads"}
+    assert set(cli._COMMAND_DEFAULTS[command]) <= set(vars(args))
 
 
 def test_unreadable_config_is_an_io_error(tmp_path):
@@ -278,3 +336,29 @@ def test_verify_unattainable_tolerance_fails_loudly(tmp_path):
     assert out.returncode == 1
     assert re.search(r"^\[FAIL\] backend_agreement: margin ", out.stdout, re.M)
     assert "FAILED" in out.stdout
+
+
+@pytest.mark.parametrize(
+    "flag,value",
+    [("--mc-tol", "-1"), ("--mc-tol", "nan"), ("--grid-points", "0"), ("--trials", "0"),
+     ("--mc-samples", "0")],
+)
+def test_verify_refuses_meaningless_values_at_parse_time(tmp_path, flag, value):
+    out = run_cli("verify", f"{flag}={value}", cwd=tmp_path)
+    assert out.returncode == 2
+    assert flag in out.stderr
+    assert not (tmp_path / "verify.txt").exists()
+
+
+def test_verify_searches_the_claim_interval_once(tmp_path, monkeypatch):
+    from ocbsim import cli, rates
+
+    calls = []
+    find = rates.find_claim_interval
+    monkeypatch.setattr(rates, "find_claim_interval",
+                        lambda *a, **kw: calls.append(a) or find(*a, **kw))
+    argv = ["verify", "--grid-points", "2", "--mc-samples", "10000", "--trials", "10",
+            "--mc-tol", "0.05", "--out", str(tmp_path)]
+    cli.main(argv)
+    assert len(calls) == 1
+    assert "claimed rate exceeds the QPSK rate" in (tmp_path / "verify.txt").read_text()

@@ -202,6 +202,24 @@ def test_ldpc_field_guard():
         codec.LinearCode(np.eye(4, dtype=np.uint8), kind="ldpc")
 
 
+def test_source_positions_must_index_an_identity_block():
+    # BP reads the source bits at these positions, so a wrong set would
+    # decode to wrong bits without any error
+    code = codec.ldpc_code(96, seed=0)
+    pos = code.source_positions
+    parity_pos = np.setdiff1d(np.arange(code.M), pos)
+
+    def build(positions):
+        return codec.LinearCode(code.generator, kind="ldpc", parity=code.parity,
+                                source_positions=positions)
+
+    assert np.array_equal(build(list(pos)).source_positions, pos)
+    for bad in (pos[:-1], pos[::-1], np.r_[pos[:-1], pos[0]], np.r_[pos[:-1], parity_pos[0]],
+                np.r_[pos[:-1], code.M], np.r_[pos[:-1], -1]):
+        with pytest.raises(ValueError, match="source positions"):
+            build(bad)
+
+
 # ---------------------------------------------------------------------------
 # file loading and name lookup
 
