@@ -35,6 +35,9 @@ from numpy.polynomial.hermite import hermgauss
 
 __all__ = [
     "DEFAULT_QUAD_ORDER",
+    "MIN_QUAD_ORDER",
+    "MAX_QUAD_ORDER",
+    "MIN_MC_SAMPLES",
     "NoiseModel",
     "PointSet",
     "PointSet1D",
@@ -57,11 +60,15 @@ LN2 = np.log(2.0)
 # 2D rule below 1e-7 on the working SNR range; 64 lets it creep past 1e-6
 # around gamma = 20 for axis-aligned four-point sets.
 DEFAULT_QUAD_ORDER = 128
+# numpy's hermgauss loses its weights past order 370: at 371 they sum to 0,
+# from 372 on they are NaN (numpy 2.4)
+MIN_QUAD_ORDER = 16
+MAX_QUAD_ORDER = 370
+MIN_MC_SAMPLES = 10_000
 
 _PROB_TOL = 1e-12
 # quadrature rounding stays near 1e-14 bits; anything past this is an error
 _CLIP_TOL = 1e-9
-_MIN_MC_SAMPLES = 10_000
 _MC_CHUNK = 1_000_000
 
 
@@ -154,8 +161,8 @@ def noise_entropy(noise: NoiseModel) -> float:
 
 @lru_cache(maxsize=None)
 def _gh_nodes(order: int):
-    if order < 16:
-        raise ValueError(f"quadrature order must be at least 16, got {order}")
+    if not MIN_QUAD_ORDER <= order <= MAX_QUAD_ORDER:
+        raise ValueError(f"quadrature order must be in [{MIN_QUAD_ORDER}, {MAX_QUAD_ORDER}], got {order}")
     return hermgauss(order)
 
 
@@ -305,8 +312,8 @@ def mi_monte_carlo_grouped(alphabet: PointSet, groups, noise: NoiseModel, sample
     since the shift and the Gaussian normalisation cancel in the ratio. A
     degenerate alphabet yields exactly 0 +/- 0.
     """
-    if samples < _MIN_MC_SAMPLES:
-        raise ValueError(f"samples must be at least {_MIN_MC_SAMPLES}, got {samples}")
+    if samples < MIN_MC_SAMPLES:
+        raise ValueError(f"samples must be at least {MIN_MC_SAMPLES}, got {samples}")
     groups = np.asarray(groups, dtype=int).reshape(-1)
     if groups.shape[0] != alphabet.size:
         raise ValueError("groups must label every alphabet point")

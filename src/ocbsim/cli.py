@@ -94,11 +94,19 @@ def _bool_opt(raw: str) -> bool:
     raise ValueError(f"expected a boolean, got {raw!r}")
 
 
-def _positive_int(raw: str) -> int:
-    value = int(raw)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_in(lo: int, hi: float = float("inf")):
+    """An argparse type taking integers in [lo, hi]."""
+    def parse(raw: str) -> int:
+        value = int(raw)
+        if not lo <= value <= hi:
+            bound = f"at least {lo}" if hi == float("inf") else f"in [{lo}, {hi}]"
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names the type in its "invalid int value" error
+    return parse
+
+
+_positive_int = _int_in(1)
 
 
 def _non_negative_float(raw: str) -> float:
@@ -209,26 +217,6 @@ _SIM_DEFAULTS = {
     "stage2_input": "reconstructed",
     "shards": 1,
 }
-_SIM_COLUMNS = (
-    "gamma",
-    "alpha",
-    "sigma2",
-    "code1",
-    "code2",
-    "k1",
-    "k2",
-    "block_len",
-    "trials",
-    "stage2_input",
-    "ber1",
-    "ci95_ber1",
-    "ber2",
-    "ci95_ber2",
-    "fer1",
-    "fer2",
-    "cond_events",
-    "cond_ber2_given_v1_err",
-)
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -236,7 +224,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     code1 = _resolve_code(opt["code1"])
     code2 = code1 if opt["code2"] == opt["code1"] else _resolve_code(opt["code2"])
 
-    lines = [",".join(_SIM_COLUMNS)]
+    rows = []
     for row_index, sigma2 in enumerate(opt["sigma2"]):
         cfg = linksim.LinkConfig(
             code1=code1,
@@ -249,35 +237,31 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             shards=opt["shards"],
         )
         stats = linksim.run_trials(cfg, threads=args.threads)
-        gamma = np.inf if sigma2 == 0.0 else 2.0 * opt["alpha"] ** 2 / sigma2
         cond = stats.cond_ber2_given_v1_err
-        lines.append(
-            _csv_line(
-                (
-                    gamma,
-                    opt["alpha"],
-                    sigma2,
-                    opt["code1"],
-                    opt["code2"],
-                    code1.K,
-                    code2.K,
-                    code1.M,
-                    stats.trials,
-                    opt["stage2_input"],
-                    stats.ber1,
-                    stats.ci95("ber1"),
-                    stats.ber2,
-                    stats.ci95("ber2"),
-                    stats.fer1,
-                    stats.fer2,
-                    stats.cond_events,
-                    float("nan") if cond is None else cond,
-                )
-            )
-        )
+        rows.append({
+            "gamma": np.inf if sigma2 == 0.0 else 2.0 * opt["alpha"] ** 2 / sigma2,
+            "alpha": opt["alpha"],
+            "sigma2": sigma2,
+            "code1": opt["code1"],
+            "code2": opt["code2"],
+            "k1": code1.K,
+            "k2": code2.K,
+            "block_len": code1.M,
+            "trials": stats.trials,
+            "stage2_input": opt["stage2_input"],
+            "ber1": stats.ber1,
+            "ci95_ber1": stats.ci95("ber1"),
+            "ber2": stats.ber2,
+            "ci95_ber2": stats.ci95("ber2"),
+            "fer1": stats.fer1,
+            "fer2": stats.fer2,
+            "cond_events": stats.cond_events,
+            "cond_ber2_given_v1_err": float("nan") if cond is None else cond,
+        })
 
     out_dir = Path(args.out)
     csv_path = out_dir / "sim.csv"
+    lines = [",".join(rows[0])] + [_csv_line(row.values()) for row in rows]
     _write_text(csv_path, "\n".join(lines) + "\n")
     _write_manifest(
         out_dir,
@@ -285,7 +269,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         {**opt, "sigma2": ",".join(_fmt(s) for s in opt["sigma2"]), "seed": args.seed},
         [csv_path],
     )
-    print(f"wrote {csv_path} ({len(opt['sigma2'])} rows)")
+    print(f"wrote {csv_path} ({len(rows)} rows)")
     return 0
 
 
@@ -487,8 +471,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_quad_order(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--quad-order", dest="quad_order", type=int, default=None,
-                        help="Gauss-Hermite quadrature order (default 128)")
+    parser.add_argument("--quad-order", dest="quad_order",
+                        type=_int_in(awgn_info.MIN_QUAD_ORDER, awgn_info.MAX_QUAD_ORDER),
+                        default=None, help="Gauss-Hermite quadrature order (default 128)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -530,7 +515,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     _add_quad_order(p)
     p.add_argument("--grid-points", dest="grid_points", type=_positive_int, default=None)
-    p.add_argument("--mc-samples", dest="mc_samples", type=_positive_int, default=None)
+    p.add_argument("--mc-samples", dest="mc_samples", type=_int_in(awgn_info.MIN_MC_SAMPLES),
+                   default=None)
     p.add_argument("--mc-tol", dest="mc_tol", type=_non_negative_float, default=None,
                    help="absolute tolerance for Monte Carlo checks "
                         "(default, or 0: 3 standard errors)")

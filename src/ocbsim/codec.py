@@ -8,9 +8,12 @@ the package-wide sign convention: positive LLR favors bit 0.
 frames, shape (T, K) or (T, M), and return the same layout; row t of a
 block gives the same bits as frame t on its own.
 
-Built-in codes: repetition-n, systematic Hamming(7,4), identity (uncoded),
-and a (3,6)-regular LDPC built by a seeded random socket-permutation
-construction with a sum-product decoder.
+The code's structure picks its decoder: a parity matrix means sum-product
+belief propagation, a generator equal to the identity means per-bit hard
+decisions, and every other code decodes by maximum likelihood over its
+codebook. Built-in codes: repetition-n, systematic Hamming(7,4), identity
+(uncoded), and a (3,6)-regular LDPC built by a seeded random
+socket-permutation construction.
 """
 
 from __future__ import annotations
@@ -91,12 +94,14 @@ def _tanner_graph(parity: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
 @dataclass(eq=False)
 class LinearCode:
-    """A binary linear block code with an injective M x K generator."""
+    """A binary linear block code with an injective M x K generator.
+
+    A parity matrix selects belief propagation, which reads the source bits
+    at source_positions, so a parity matrix needs them.
+    """
 
     generator: np.ndarray
-    name: str = ""
-    kind: str = "general"  # repetition | identity | ldpc | general (ML)
-    parity: np.ndarray | None = None  # check matrix, required for kind="ldpc"
+    parity: np.ndarray | None = None  # check matrix; selects BP decoding
     source_positions: np.ndarray | None = None  # codeword indices of source bits
 
     def __post_init__(self):
@@ -116,10 +121,13 @@ class LinearCode:
                 raise ValueError(f"source positions must be {k} generator rows forming I_{k}")
             self.source_positions = pos
         self.generator = g
+        self._identity = np.array_equal(g, np.eye(k, dtype=np.uint8))
         self._generator32 = g.astype(np.float32)  # BLAS operand of encode
         self._codebook = None
         self._tanner = None
         if self.parity is not None:
+            if self.source_positions is None:
+                raise ValueError("a parity matrix needs source positions, where BP reads the source bits")
             self.parity = _binary_matrix(self.parity, "parity matrix")
             if self.parity.shape[1] != m:
                 raise ValueError(f"parity matrix must have {m} columns, got {self.parity.shape[1]}")
@@ -128,8 +136,6 @@ class LinearCode:
             # each check's XOR of the generator rows it touches, bit-packed
             if np.bitwise_xor.reduceat(np.packbits(g, axis=1)[var_idx], row_starts).any():
                 raise ValueError("parity matrix does not annihilate the generator")
-        if self.kind == "ldpc" and (self.parity is None or self.source_positions is None):
-            raise ValueError("ldpc codes need a parity matrix and source positions")
 
     @property
     def K(self) -> int:
@@ -142,6 +148,13 @@ class LinearCode:
     @property
     def rate(self) -> float:
         return self.K / self.M
+
+    @property
+    def kind(self) -> str:
+        """The decoder the structure selects: "ldpc" (BP), "identity" or "general" (ML)."""
+        if self.parity is not None:
+            return "ldpc"
+        return "identity" if self._identity else "general"
 
     def codebook(self) -> np.ndarray:
         """All 2^K codewords, source words enumerated in counting order."""
@@ -176,15 +189,13 @@ def decode(code: LinearCode, llr: np.ndarray, bp_iterations: int = _BP_DEFAULT_I
     """Source estimate from channel LLRs (positive favors bit 0).
 
     llr is one frame, (M,), or a block, (T, M); the estimate is (K,) or
-    (T, K), and each row depends only on its own frame. Dispatch: repetition
-    sums its LLRs, identity thresholds per bit, LDPC runs sum-product belief
-    propagation, anything else is maximum-likelihood over the enumerated
-    codebook by LLR correlation. Ties resolve toward 0.
+    (T, K), and each row depends only on its own frame. The code's kind picks
+    the rule: identity thresholds per bit, a code with a parity matrix runs
+    sum-product belief propagation, anything else is maximum likelihood over
+    the enumerated codebook by LLR correlation. Ties resolve toward 0.
     """
     frames = _frames(llr, code.M, "llr", float)
-    if code.kind == "repetition":
-        src = (frames.sum(axis=1, keepdims=True) < 0.0).astype(np.uint8)
-    elif code.kind == "identity":
+    if code.kind == "identity":
         src = (frames < 0.0).astype(np.uint8)
     elif code.kind == "ldpc":
         src = _bp_decode(code, frames, bp_iterations)
@@ -261,7 +272,7 @@ def _bp_decode(code: LinearCode, llr: np.ndarray, iterations: int) -> np.ndarray
 def repetition_code(n: int) -> LinearCode:
     if n < 1:
         raise ValueError("repetition length must be >= 1")
-    return LinearCode(np.ones((n, 1), dtype=np.uint8), name=f"repetition{n}", kind="repetition")
+    return LinearCode(np.ones((n, 1), dtype=np.uint8))
 
 
 def hamming74() -> LinearCode:
@@ -272,13 +283,13 @@ def hamming74() -> LinearCode:
         [0, 1, 1, 1],  # p3 = d2 + d3 + d4
     ], dtype=np.uint8)
     g = np.vstack([np.eye(4, dtype=np.uint8), parity_rows])
-    return LinearCode(g, name="hamming74", kind="general")
+    return LinearCode(g)
 
 
 def identity_code(n: int) -> LinearCode:
     if n < 1:
         raise ValueError("identity length must be >= 1")
-    return LinearCode(np.eye(n, dtype=np.uint8), name=f"identity{n}", kind="identity")
+    return LinearCode(np.eye(n, dtype=np.uint8))
 
 
 def ldpc_code(n: int = 1024, seed: int = 0, var_degree: int = 3, check_degree: int = 6) -> LinearCode:
@@ -309,7 +320,7 @@ def ldpc_code(n: int = 1024, seed: int = 0, var_degree: int = 3, check_degree: i
     g[free, np.arange(k)] = 1
     # pivot bit p_i = sum of rref[i, free] * source bits
     g[np.asarray(pivots)] = rref[:, free]
-    return LinearCode(g, name=f"ldpc{n}", kind="ldpc", parity=h, source_positions=free)
+    return LinearCode(g, parity=h, source_positions=free)
 
 
 def from_generator_file(path) -> LinearCode:
@@ -326,7 +337,7 @@ def from_generator_file(path) -> LinearCode:
     widths = {len(r) for r in rows}
     if len(widths) != 1:
         raise ValueError(f"ragged matrix rows in {path}")
-    return LinearCode(np.array(rows, dtype=np.uint8), name=path.stem, kind="general")
+    return LinearCode(np.array(rows, dtype=np.uint8))
 
 
 def builtin_code(name: str) -> LinearCode:

@@ -18,6 +18,11 @@ block it lands in, so the block size changes speed and memory, not tallies.
 
 At sigma2 = 0 the demappers' LLRs are the noiseless limit: +-LLR_CLIP with
 the sign of the noiseless statistic, ties going to bit 0.
+
+Uncoded per-symbol statistics are the link's own: with identity codes, ber1
+is the hard axis-decision error rate (llr1 < 0 exactly when |im| > |re|),
+and with stage2_input="genie", ber2 is the sign error rate given the true
+axis, Q(sqrt(2) alpha / sigma).
 """
 
 from __future__ import annotations
@@ -39,7 +44,6 @@ __all__ = [
     "SimStats",
     "transmit_block",
     "run_trials",
-    "uncoded_symbol_error_rates",
     "q_function",
 ]
 
@@ -88,16 +92,14 @@ class LinkConfig:
 
 @dataclass
 class TxBlock:
-    """Transmitted frames: source words, codewords, received samples.
-
-    Each field is one frame's vector, or a (T, length) block of T frames.
-    """
+    """A block of T transmitted frames: source words, codewords, received
+    samples, each a (T, length) array with one row per frame."""
 
     c1: np.ndarray
     c2: np.ndarray
     v1: np.ndarray
     v2: np.ndarray
-    y: np.ndarray  # complex, length M
+    y: np.ndarray  # complex, (T, M)
 
 
 @dataclass
@@ -177,10 +179,12 @@ def _trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, trial]))
 
 
-def _transmit(cfg: LinkConfig, rngs, frames: int) -> TxBlock:
-    """One frame per generator, each drawing c1, c2, real and imaginary noise.
+def transmit_block(cfg: LinkConfig, rngs, frames: int) -> TxBlock:
+    """Draw, encode, map and add noise to a block of frames, one per generator.
 
-    rngs may be a lazy iterable, so only one generator is alive at a time.
+    Each generator draws its frame's c1, c2, real and imaginary noise, in
+    that order. rngs may be a lazy iterable of `frames` generators, so only
+    one generator is alive at a time.
     """
     sigma = np.sqrt(cfg.sigma2)
     k1, k2, m = cfg.code1.K, cfg.code2.K, cfg.code1.M
@@ -197,12 +201,6 @@ def _transmit(cfg: LinkConfig, rngs, frames: int) -> TxBlock:
     v2 = codec.encode(cfg.code2, c2)
     y = map_bits(v1, v2, Constellation(cfg.alpha)) + re + 1j * im
     return TxBlock(c1, c2, v1, v2, y)
-
-
-def transmit_block(cfg: LinkConfig, rng: np.random.Generator) -> TxBlock:
-    """Draw a source frame, encode both streams, map, add noise."""
-    blk = _transmit(cfg, [rng], 1)
-    return TxBlock(*(getattr(blk, f.name)[0] for f in fields(blk)))
 
 
 def _saturated(statistic: np.ndarray) -> np.ndarray:
@@ -256,7 +254,7 @@ def run_shard(cfg: LinkConfig, shard: int) -> SimStats:
     per_block = max(1, BLOCK_SYMBOLS // cfg.code1.M)
     for start in range(0, len(trial_ids), per_block):
         ids = trial_ids[start:start + per_block]
-        blk = _transmit(cfg, (_trial_rng(cfg.seed, t) for t in ids), len(ids))
+        blk = transmit_block(cfg, (_trial_rng(cfg.seed, t) for t in ids), len(ids))
         stats = stats + _tally(cfg, cons, noise, blk)
     return stats
 
@@ -277,32 +275,3 @@ def run_trials(cfg: LinkConfig, threads: int = 1) -> SimStats:
     for part in parts[1:]:
         total = total + part
     return total
-
-
-def uncoded_symbol_error_rates(alpha: float, sigma2: float, samples: int, seed: int) -> tuple[float, float]:
-    """(axis-decision error rate, sign error rate given the correct axis).
-
-    Uncoded per-symbol statistics: the first output is the raw hard stage-1
-    error probability, the second the stage-2 sign error with the true axis
-    supplied (genie conditioning), which has the closed form Q(sqrt(2)a/sigma).
-    """
-    if samples < 100_000:
-        raise ValueError(f"samples must be at least 100000, got {samples}")
-    cons = Constellation(alpha)
-    rng = np.random.default_rng(np.random.SeedSequence([seed]))
-    sigma = np.sqrt(sigma2)
-    axis_errors = 0
-    sign_errors = 0
-    left = samples
-    while left > 0:
-        m = min(left, 1_000_000)
-        v1 = rng.integers(0, 2, size=m, dtype=np.uint8)
-        v2 = rng.integers(0, 2, size=m, dtype=np.uint8)
-        y = map_bits(v1, v2, cons) + rng.normal(0.0, sigma, m) + 1j * rng.normal(0.0, sigma, m)
-        v1_hat = (np.abs(y.imag) > np.abs(y.real)).astype(np.uint8)  # tie goes to 0
-        axis_errors += int(np.count_nonzero(v1_hat != v1))
-        coord = np.where(v1 == 0, y.real, y.imag)
-        v2_hat = (coord < 0.0).astype(np.uint8)
-        sign_errors += int(np.count_nonzero(v2_hat != v2))
-        left -= m
-    return axis_errors / samples, sign_errors / samples

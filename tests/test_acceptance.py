@@ -124,9 +124,12 @@ def test_criterion_06_error_propagation_conditional():
 def test_criterion_07_genie_matches_q_function():
     sigma2s = (0.3, 0.5, 0.75, 1.0, 1.5)
     n = 200_000
+    code = codec.identity_code(1000)
     worst_z = 0.0
     for i, s2 in enumerate(sigma2s):
-        _, sign = linksim.uncoded_symbol_error_rates(INV2, s2, n, seed=700 + i)
+        cfg = LinkConfig(code, code, alpha=INV2, sigma2=s2, trials=n // 1000, seed=700 + i,
+                         stage2_input="genie")
+        sign = linksim.run_trials(cfg).ber2
         p = float(q_function(np.sqrt(2.0) * INV2 / np.sqrt(s2)))
         se = np.sqrt(p * (1.0 - p) / n)
         worst_z = max(worst_z, abs(sign - p) / se)

@@ -273,6 +273,28 @@ def test_simulate_builds_a_shared_code_once(tmp_path, monkeypatch):
     assert calls == ["ldpc24", "identity24"]
 
 
+def test_identity_generator_file_decodes_like_the_builtin(tmp_path):
+    # the generator's structure picks per-bit decisions, whatever K is
+    gen = tmp_path / "eye20.txt"
+    gen.write_text("".join(" ".join("1" if j == i else "0" for j in range(20)) + "\n"
+                           for i in range(20)))
+    common = ("simulate", "--trials", "50", "--sigma2", "0.5,1.0")
+    runs = {}
+    for label, code in (("file", f"@{gen}"), ("builtin", "identity20")):
+        out_dir = tmp_path / label
+        out = run_cli(*common, "--code1", code, "--code2", code, "--out", str(out_dir),
+                      cwd=tmp_path)
+        assert out.returncode == 0, out.stderr
+        lines = (out_dir / "sim.csv").read_text().splitlines()
+        runs[label] = [dict(zip(lines[0].split(","), ln.split(","))) for ln in lines[1:]]
+    for got, want in zip(runs["file"], runs["builtin"]):
+        assert got["code1"] == got["code2"] == f"@{gen}"
+        for row in (got, want):
+            del row["code1"], row["code2"]
+        assert got == want
+    assert len(runs["file"]) == 2
+
+
 def test_simulate_error_propagation_columns(tmp_path):
     out = run_cli("simulate", "--code1", "identity64", "--code2", "identity64",
                   "--trials", "60", "--sigma2", "1.0", "--stage2-input", "raw_hard",
@@ -348,6 +370,32 @@ def test_verify_refuses_meaningless_values_at_parse_time(tmp_path, flag, value):
     assert out.returncode == 2
     assert flag in out.stderr
     assert not (tmp_path / "verify.txt").exists()
+
+
+def test_verify_mc_samples_floor_is_the_estimators():
+    from ocbsim import awgn_info
+    from ocbsim.cli import build_parser
+
+    floor = awgn_info.MIN_MC_SAMPLES
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["verify", "--mc-samples", str(floor - 1)])
+    assert build_parser().parse_args(["verify", "--mc-samples", str(floor)]).mc_samples == floor
+
+
+@pytest.mark.parametrize("command", ["curves", "verify"])
+@pytest.mark.parametrize("order", ["15", "371", "372"])
+def test_quad_order_outside_the_node_range_is_refused(command, order):
+    from ocbsim.cli import build_parser
+
+    with pytest.raises(SystemExit):
+        build_parser().parse_args([command, "--quad-order", order])
+
+
+def test_curves_runs_at_the_highest_quad_order(tmp_path):
+    out = run_cli("curves", "--gamma-min", "2", "--gamma-max", "2", "--points", "1",
+                  "--quad-order", "370", cwd=tmp_path)
+    assert out.returncode == 0, out.stderr
+    assert len((tmp_path / "curves.csv").read_text().splitlines()) == 2
 
 
 def test_verify_searches_the_claim_interval_once(tmp_path, monkeypatch):

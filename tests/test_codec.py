@@ -198,8 +198,10 @@ def test_ldpc_requires_even_workable_length():
 
 
 def test_ldpc_field_guard():
-    with pytest.raises(ValueError):
-        codec.LinearCode(np.eye(4, dtype=np.uint8), kind="ldpc")
+    # a parity matrix selects BP, which reads the source bits at source_positions
+    code = codec.ldpc_code(96, seed=0)
+    with pytest.raises(ValueError, match="source positions"):
+        codec.LinearCode(code.generator, parity=code.parity)
 
 
 def test_source_positions_must_index_an_identity_block():
@@ -210,8 +212,7 @@ def test_source_positions_must_index_an_identity_block():
     parity_pos = np.setdiff1d(np.arange(code.M), pos)
 
     def build(positions):
-        return codec.LinearCode(code.generator, kind="ldpc", parity=code.parity,
-                                source_positions=positions)
+        return codec.LinearCode(code.generator, parity=code.parity, source_positions=positions)
 
     assert np.array_equal(build(list(pos)).source_positions, pos)
     for bad in (pos[:-1], pos[::-1], np.r_[pos[:-1], pos[0]], np.r_[pos[:-1], parity_pos[0]],
@@ -267,24 +268,26 @@ def test_builtin_code_unknown_name():
 def test_parity_matrix_must_annihilate_the_generator():
     g = codec.hamming74().generator
     h = np.hstack([g[4:], np.eye(3, dtype=np.uint8)])  # [P | I]: H G = P + P = 0
-    assert codec.LinearCode(g, parity=h).parity.shape == (3, 7)
+    pos = np.arange(4)  # systematic: the source bits lead the codeword
+    assert codec.LinearCode(g, parity=h, source_positions=pos).parity.shape == (3, 7)
     bad = h.copy()
     bad[1, 0] ^= 1  # check 2 now reads d1 once too often
     with pytest.raises(ValueError, match="annihilate"):
-        codec.LinearCode(g, parity=bad)
+        codec.LinearCode(g, parity=bad, source_positions=pos)
     with pytest.raises(ValueError, match="annihilate"):
-        codec.LinearCode(g, parity=np.ones((1, 7), dtype=np.uint8))
+        codec.LinearCode(g, parity=np.ones((1, 7), dtype=np.uint8), source_positions=pos)
 
 
 def test_parity_matrix_shape_and_entries_are_checked():
     g = codec.hamming74().generator
     h = np.hstack([g[4:], np.eye(3, dtype=np.uint8)])
+    pos = np.arange(4)
     with pytest.raises(ValueError):
-        codec.LinearCode(g, parity=h[:, :6])
+        codec.LinearCode(g, parity=h[:, :6], source_positions=pos)
     with pytest.raises(ValueError):
-        codec.LinearCode(g, parity=2 * h)
+        codec.LinearCode(g, parity=2 * h, source_positions=pos)
     # an all-zero check constrains nothing and is accepted
-    codec.LinearCode(g, parity=np.vstack([h, np.zeros((1, 7), dtype=np.uint8)]))
+    codec.LinearCode(g, parity=np.vstack([h, np.zeros((1, 7), dtype=np.uint8)]), source_positions=pos)
 
 
 # ---------------------------------------------------------------------------

@@ -57,10 +57,17 @@ def test_config_rejects_bad_parameters(kwargs):
 # transmit path
 
 
+def transmit_frame(cfg, rng):
+    """Row 0 of a one-frame block."""
+    blk = linksim.transmit_block(cfg, [rng], 1)
+    assert blk.y.shape == (1, cfg.code1.M)
+    return linksim.TxBlock(blk.c1[0], blk.c2[0], blk.v1[0], blk.v2[0], blk.y[0])
+
+
 def test_noiseless_transmit_hits_constellation_points_exactly():
     cfg = LinkConfig(HAM, HAM, alpha=INV2, sigma2=0.0, trials=1, seed=5)
     rng = np.random.default_rng(0)
-    blk = linksim.transmit_block(cfg, rng)
+    blk = transmit_frame(cfg, rng)
     from ocbsim.ocb import Constellation, map_bits
 
     expect = map_bits(blk.v1, blk.v2, Constellation(INV2))
@@ -69,8 +76,8 @@ def test_noiseless_transmit_hits_constellation_points_exactly():
 
 def test_transmit_is_deterministic_for_a_fixed_generator_state():
     cfg = LinkConfig(HAM, HAM, alpha=1.0, sigma2=0.3, trials=1, seed=5)
-    a = linksim.transmit_block(cfg, np.random.default_rng(123))
-    b = linksim.transmit_block(cfg, np.random.default_rng(123))
+    a = transmit_frame(cfg, np.random.default_rng(123))
+    b = transmit_frame(cfg, np.random.default_rng(123))
     assert np.array_equal(a.c1, b.c1) and np.array_equal(a.c2, b.c2)
     assert np.array_equal(a.y, b.y)
 
@@ -80,7 +87,7 @@ def test_received_energy_accounting():
     alpha, sigma2 = 0.9, 0.6
     rep = codec.repetition_code(100_000)
     cfg = LinkConfig(rep, rep, alpha=alpha, sigma2=sigma2, trials=1, seed=2)
-    blk = linksim.transmit_block(cfg, np.random.default_rng(77))
+    blk = transmit_frame(cfg, np.random.default_rng(77))
     e = np.abs(blk.y) ** 2
     want = 2.0 * alpha**2 + 2.0 * sigma2
     se = e.std(ddof=1) / np.sqrt(e.size)
@@ -318,14 +325,25 @@ def test_stats_merge_rejects_mismatched_shapes():
 # uncoded per-symbol statistics
 
 
+def uncoded_error_rates(alpha, sigma2, n, seed):
+    """(axis error rate, sign error rate given the true axis) over n symbols:
+    ber1 and ber2 of the genie link with identity codes."""
+    code = codec.identity_code(1000)
+    cfg = LinkConfig(code, code, alpha=alpha, sigma2=sigma2, trials=n // 1000, seed=seed,
+                     stage2_input="genie")
+    stats = linksim.run_trials(cfg)
+    assert stats.trials * code.K == n
+    return stats.ber1, stats.ber2
+
+
 def test_uncoded_rates_vanish_without_noise():
-    axis, sign = linksim.uncoded_symbol_error_rates(1.0, 1e-8, 100_000, seed=1)
+    axis, sign = uncoded_error_rates(1.0, 1e-8, 100_000, seed=1)
     assert axis == 0.0 and sign == 0.0
 
 
 def test_uncoded_sign_error_matches_q_function():
     alpha, sigma2, n = 1.0, 0.5, 300_000
-    _, sign = linksim.uncoded_symbol_error_rates(alpha, sigma2, n, seed=3)
+    _, sign = uncoded_error_rates(alpha, sigma2, n, seed=3)
     p = float(q_function(np.sqrt(2.0) * alpha / np.sqrt(sigma2)))
     se = np.sqrt(p * (1.0 - p) / n)
     assert abs(sign - p) < 3.0 * se
@@ -334,15 +352,10 @@ def test_uncoded_sign_error_matches_q_function():
 @pytest.mark.parametrize("alpha,sigma2", [(1.0, 0.5), (INV2, 1.0), (0.6, 0.2)])
 def test_uncoded_axis_error_matches_integration_oracle(alpha, sigma2):
     n = 300_000
-    axis, _ = linksim.uncoded_symbol_error_rates(alpha, sigma2, n, seed=4)
+    axis, _ = uncoded_error_rates(alpha, sigma2, n, seed=4)
     p = axis_error_oracle(alpha, sigma2)
     se = np.sqrt(p * (1.0 - p) / n)
     assert abs(axis - p) < 3.0 * se
-
-
-def test_uncoded_sample_floor():
-    with pytest.raises(ValueError):
-        linksim.uncoded_symbol_error_rates(1.0, 0.5, 50_000, seed=0)
 
 
 def test_q_function_anchors():
