@@ -6,14 +6,18 @@ the package-wide sign convention: positive LLR favors bit 0.
 
 `encode` and `decode` take one frame, shape (K,) or (M,), or a block of T
 frames, shape (T, K) or (T, M), and return the same layout; row t of a
-block gives the same bits as frame t on its own.
+block gives the same bits as frame t on its own. Encoding packs source
+words and generator rows 64 bits to a uint64 word and takes each codeword
+bit as the parity of a popcount.
 
 The code's structure picks its decoder: a parity matrix means sum-product
 belief propagation, a generator equal to the identity means per-bit hard
 decisions, and every other code decodes by maximum likelihood over its
-codebook. Built-in codes: repetition-n, systematic Hamming(7,4), identity
-(uncoded), and a (3,6)-regular LDPC built by a seeded random
-socket-permutation construction.
+codebook. BP runs on a slot-major layout of the Tanner graph, built once
+per code: one message per (frame, slot, check). Built-in codes:
+repetition-n, systematic Hamming(7,4), identity (uncoded), and a
+(3,6)-regular LDPC built by a seeded random socket-permutation
+construction.
 """
 
 from __future__ import annotations
@@ -78,18 +82,52 @@ def _binary_matrix(mat, what: str) -> np.ndarray:
     return mat.astype(np.uint8)
 
 
-def _tanner_graph(parity: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(variable of each edge, first edge of each check, edges of each check).
+def _pack_words(bits: np.ndarray) -> np.ndarray:
+    """Rows of 0/1 bytes as rows of uint64 words; bit k sits in word k // 64."""
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    words = np.zeros((packed.shape[0], -(-packed.shape[1] // 8) * 8), dtype=np.uint8)  # whole words
+    words[:, :packed.shape[1]] = packed
+    return words.view(np.uint64)
 
-    Edges are in row-major order, so each check's edges are contiguous:
-    reduceat over the first edges reduces check by check, and repeat by the
-    degrees spreads a per-check value back over its edges. Empty checks,
-    which constrain nothing, are left out.
+
+@dataclass(frozen=True)
+class _SlotLayout:
+    """The Tanner graph of a parity matrix, laid out slot-major for BP.
+
+    Slot s of check c holds the check's s-th edge, in row-major edge order;
+    arrays of per-edge values have shape (frames, max check degree, checks
+    + 1). Slots past a check's degree are padding, and so is the whole last
+    column, a spare check that lower-degree variables read as a zero
+    message. Empty checks, which constrain nothing, are left out.
     """
-    rows = parity[parity.any(axis=1)]
-    _, var_idx = np.nonzero(rows)
-    degrees = np.count_nonzero(rows, axis=1)
-    return var_idx, np.cumsum(degrees) - degrees, degrees
+
+    slot_var: np.ndarray  # (D, C + 1): variable of each slot; 0 in padding
+    pads: tuple[np.ndarray, np.ndarray]  # (slot, check) of each padding slot
+    var_slots: np.ndarray  # (max variable degree, M): flat slots of each variable's edges
+
+    @classmethod
+    def of(cls, parity: np.ndarray) -> "_SlotLayout":
+        rows = parity[parity.any(axis=1)]
+        checks, var = np.nonzero(rows)  # row-major edges
+        degrees = np.count_nonzero(rows, axis=1)
+        slot = np.arange(var.size) - (np.cumsum(degrees) - degrees)[checks]
+        shape = (max(1, degrees.max(initial=0)), rows.shape[0] + 1)
+        flat = np.ravel_multi_index((slot, checks), shape)
+        slot_var = np.zeros(shape, dtype=np.intp)
+        slot_var.flat[flat] = var
+        # each variable's edges in row-major order; missing ones read the spare check
+        order = np.argsort(var, kind="stable")
+        var_degrees = np.bincount(var, minlength=parity.shape[1])
+        rank = np.arange(var.size) - (np.cumsum(var_degrees) - var_degrees)[var[order]]
+        var_slots = np.full((max(1, var_degrees.max(initial=0)), parity.shape[1]), slot_var.size - 1)
+        var_slots[rank, var[order]] = flat[order]
+        pads = np.unravel_index(np.setdiff1d(np.arange(slot_var.size), flat), shape)
+        return cls(slot_var, pads, var_slots)
+
+    def zero_pads(self, per_slot: np.ndarray) -> np.ndarray:
+        """Clear the padding of a (frames, D, C + 1) array in place."""
+        per_slot[:, self.pads[0], self.pads[1]] = 0
+        return per_slot
 
 
 @dataclass(eq=False)
@@ -122,19 +160,19 @@ class LinearCode:
             self.source_positions = pos
         self.generator = g
         self._identity = np.array_equal(g, np.eye(k, dtype=np.uint8))
-        self._generator32 = g.astype(np.float32)  # BLAS operand of encode
+        self._generator_words = np.ascontiguousarray(_pack_words(g).T)  # (words, M), for encode
         self._codebook = None
-        self._tanner = None
+        self._slots = None
         if self.parity is not None:
             if self.source_positions is None:
                 raise ValueError("a parity matrix needs source positions, where BP reads the source bits")
             self.parity = _binary_matrix(self.parity, "parity matrix")
             if self.parity.shape[1] != m:
                 raise ValueError(f"parity matrix must have {m} columns, got {self.parity.shape[1]}")
-            self._tanner = _tanner_graph(self.parity)
-            var_idx, row_starts, _ = self._tanner
-            # each check's XOR of the generator rows it touches, bit-packed
-            if np.bitwise_xor.reduceat(np.packbits(g, axis=1)[var_idx], row_starts).any():
+            self._slots = _SlotLayout.of(self.parity)
+            # each check's XOR of the generator rows on its slots, word by word
+            rows = self._slots.zero_pads(self._generator_words[:, self._slots.slot_var])
+            if np.bitwise_xor.reduce(rows, axis=1).any():
                 raise ValueError("parity matrix does not annihilate the generator")
 
     @property
@@ -166,9 +204,9 @@ class LinearCode:
         return self._codebook
 
 
-def _frames(x, length: int, what: str, dtype) -> np.ndarray:
+def _frames(x, length: int, what: str) -> np.ndarray:
     """x as a (T, length) block; a single frame becomes T = 1."""
-    x = np.asarray(x).astype(dtype, copy=False)
+    x = np.asarray(x)
     if x.ndim not in (1, 2) or x.shape[-1] != length:
         raise ValueError(f"{what} must have shape ({length},) or (T, {length}), got {x.shape}")
     return x.reshape(-1, length)
@@ -177,11 +215,21 @@ def _frames(x, length: int, what: str, dtype) -> np.ndarray:
 def encode(code: LinearCode, source: np.ndarray) -> np.ndarray:
     """Codeword v_m = xor_k g_mk c_k of a (K,) source word, or of each row of (T, K).
 
-    The sum runs as a float32 BLAS product, exact because every partial sum
-    is an integer of at most K, far below 2**24.
+    Source words and generator rows are packed 64 bits to a word; v_m is
+    the parity of the popcount of the XOR over words of their ANDs.
+    Entries other than 0 and 1 are refused.
     """
-    c = _frames(source, code.K, "source", np.float32)
-    v = ((c @ code._generator32.T) % 2).astype(np.uint8)
+    c = _frames(source, code.K, "source")
+    bits = c.max(initial=0) <= 1 if c.dtype == np.uint8 else ((c == 0) | (c == 1)).all()
+    if not bits:
+        raise ValueError("source bits must be 0 or 1")
+    words = _pack_words(c.astype(np.uint8, copy=False))
+    gen = code._generator_words
+    acc = words[:, :1] & gen[0]
+    for w in range(1, gen.shape[0]):
+        acc ^= words[:, w:w + 1] & gen[w]
+    v = np.bitwise_count(acc)
+    v &= 1
     return v if np.ndim(source) == 2 else v[0]
 
 
@@ -194,7 +242,7 @@ def decode(code: LinearCode, llr: np.ndarray, bp_iterations: int = _BP_DEFAULT_I
     sum-product belief propagation, anything else is maximum likelihood over
     the enumerated codebook by LLR correlation. Ties resolve toward 0.
     """
-    frames = _frames(llr, code.M, "llr", float)
+    frames = _frames(llr, code.M, "llr").astype(float, copy=False)
     if code.kind == "identity":
         src = (frames < 0.0).astype(np.uint8)
     elif code.kind == "ldpc":
@@ -226,46 +274,56 @@ def _phi(x: np.ndarray) -> np.ndarray:
 def _bp_decode(code: LinearCode, llr: np.ndarray, iterations: int) -> np.ndarray:
     """Flooding sum-product decoder on a (T, M) block of frames.
 
-    Messages live in a (frames, edges) array. A frame leaves the live set
-    after the first iteration whose hard decision has a zero syndrome, so
-    each frame runs exactly the iterations it would run alone.
+    Messages live in slot-major (frames, D, C + 1) arrays (see
+    `_SlotLayout`), so each check reduces over the slot axis. A variable's
+    posterior adds its incoming messages in row-major edge order. A frame
+    leaves the live set after the first iteration whose hard decision has a
+    zero syndrome, so each frame runs exactly the iterations it would run
+    alone.
     """
     if iterations < 1:
         raise ValueError("BP needs at least one iteration")
-    var_idx, row_starts, degrees = code._tanner
+    lay = code._slots
     hard = np.zeros(llr.shape, dtype=bool)
     live = np.arange(llr.shape[0])
-    msg_c2v = np.zeros((live.size, var_idx.size))
-    posterior = llr
-    # per-frame bincount: live frame f's variables are slots f*M .. f*M+M-1
-    slots = (np.arange(live.size) * code.M)[:, None] + var_idx
+    llr_live = llr
+    # the posterior on each slot's variable; its gather serves the syndrome
+    # and the next iteration's variable-to-check messages
+    on_slots = np.take(llr, lay.slot_var, axis=1)
+    msg_c2v = np.zeros_like(on_slots)
     for it in range(iterations):
-        msg_v2c = np.take(posterior, var_idx, axis=1)
-        msg_v2c -= msg_c2v
+        msg_v2c = np.subtract(on_slots, msg_c2v, out=on_slots)
         np.clip(msg_v2c, -LLR_CLIP, LLR_CLIP, out=msg_v2c)
         # an outgoing message is negative when an odd number of the check's
         # other incoming messages are
-        negative = msg_v2c < 0.0
-        flip = np.repeat(np.bitwise_xor.reduceat(negative, row_starts, axis=1), degrees, axis=1)
-        flip ^= negative
-        mags = _phi(np.abs(msg_v2c))
-        mag_sum = np.repeat(np.add.reduceat(mags, row_starts, axis=1), degrees, axis=1)
-        mag_sum -= mags
-        msg_c2v = _phi(mag_sum)
-        msg_c2v *= 1.0 - 2.0 * flip
-        posterior = llr[live] + np.bincount(
-            slots.ravel(), weights=msg_c2v.ravel(), minlength=live.size * code.M
-        ).reshape(live.size, code.M)
-        frame_hard = posterior < 0.0
-        syndrome = np.bitwise_xor.reduceat(np.take(frame_hard, var_idx, axis=1), row_starts, axis=1)
-        done = ~syndrome.any(axis=1) if it < iterations - 1 else np.ones(live.size, dtype=bool)
-        hard[live[done]] = frame_hard[done]
+        flip = lay.zero_pads(msg_v2c < 0.0)
+        flip ^= np.bitwise_xor.reduce(flip, axis=1, keepdims=True)
+        mags = lay.zero_pads(_phi(np.abs(msg_v2c, out=msg_v2c)))
+        # slot 0 plus the in-order sum of the others, the association that
+        # np.add.reduceat uses on an edge list for checks of degree up to 8
+        mag_sum = np.add.reduce(mags[:, 1:], axis=1, keepdims=True)
+        mag_sum += mags[:, :1]
+        msg_c2v = _phi(np.subtract(mag_sum, mags, out=mags))
+        sign_bits = msg_c2v.view(np.uint64)  # phi > 0: setting the sign bit negates
+        sign_bits |= np.left_shift(flip, 63, dtype=np.uint64)
+        lay.zero_pads(msg_c2v)
+        # each variable's incoming messages, added in row-major edge order
+        incoming = np.take(msg_c2v.reshape(live.size, -1), lay.var_slots, axis=1)
+        posterior = np.add.reduce(incoming, axis=1)
+        posterior += llr_live
+        if it == iterations - 1:
+            done = np.ones(live.size, dtype=bool)
+        else:
+            on_slots = np.take(posterior, lay.slot_var, axis=1)
+            unmet = lay.zero_pads(on_slots < 0.0)
+            done = ~np.bitwise_xor.reduce(unmet, axis=1).any(axis=1)
+        hard[live[done]] = posterior[done] < 0.0
         if done.all():
             break
         if done.any():
             keep = ~done
-            live, msg_c2v, posterior = live[keep], msg_c2v[keep], posterior[keep]
-            slots = slots[: live.size]
+            live, llr_live = live[keep], llr_live[keep]
+            msg_c2v, on_slots = msg_c2v[keep], on_slots[keep]
     return hard[:, code.source_positions].astype(np.uint8)
 
 

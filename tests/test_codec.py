@@ -110,6 +110,70 @@ def test_encode_is_linear_over_gf2(a, b):
     assert np.array_equal(lhs, rhs)
 
 
+def systematic_code(k, parity_rows, seed):
+    """A (k + parity_rows, k) code with random parity rows under I_k."""
+    rng = np.random.default_rng(seed)
+    g = np.vstack([np.eye(k, dtype=np.uint8), rng.integers(0, 2, size=(parity_rows, k), dtype=np.uint8)])
+    return codec.LinearCode(g, source_positions=np.arange(k))
+
+
+@pytest.mark.parametrize("k", [1, 63, 64, 65, 514])
+def test_encode_matches_the_integer_product(k):
+    # K on both sides of a 64-bit word boundary
+    code = systematic_code(k, 37, seed=k)
+    g = code.generator.astype(int)
+    rng = np.random.default_rng(k + 1)
+    src = rng.integers(0, 2, size=(9, k), dtype=np.uint8)
+    src[0] = 0
+    src[1] = 1
+    want = (src.astype(int) @ g.T) % 2
+    got = codec.encode(code, src)
+    assert got.dtype == np.uint8 and np.array_equal(got, want)
+    for t in range(src.shape[0]):
+        frame = codec.encode(code, src[t])
+        assert frame.shape == (code.M,) and np.array_equal(frame, (g @ src[t].astype(int)) % 2)
+
+
+def test_encode_accepts_any_dtype_holding_bits():
+    ham = codec.hamming74()
+    want = codec.encode(ham, np.array([1, 0, 1, 1], dtype=np.uint8))
+    for src in ([1, 0, 1, 1], [True, False, True, True], [1.0, 0.0, 1.0, 1.0], np.array([1, 0, 1, 1], dtype=np.int64)):
+        assert np.array_equal(codec.encode(ham, src), want)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [[2, 0, 0, 0], [0.5, 0, 0, 0], [3, 0, 0, 0], [-1, 0, 0, 0], [np.nan, 0, 0, 0],
+     np.array([0, 0, 2, 0], dtype=np.uint8), np.array([0, 255, 0, 0], dtype=np.uint8)],
+    ids=["2", "0.5", "3", "-1", "nan", "uint8-2", "uint8-255"],
+)
+def test_encode_refuses_entries_other_than_bits(bad):
+    bad = np.asarray(bad)
+    ham = codec.hamming74()
+    with pytest.raises(ValueError, match="0 or 1"):
+        codec.encode(ham, bad)
+    block = np.zeros((3, 4), dtype=bad.dtype)
+    block[2] = bad
+    with pytest.raises(ValueError, match="0 or 1"):
+        codec.encode(ham, block)
+
+
+@pytest.mark.parametrize(
+    "code",
+    [codec.repetition_code(1), codec.repetition_code(3), codec.repetition_code(5), codec.hamming74()],
+    ids=["rep1", "rep3", "rep5", "hamming74"],
+)
+def test_codebook_ml_decisions_match_the_integer_codebook(code):
+    srcs = np.array(list(itertools.product([0, 1], repeat=code.K)), dtype=int)
+    book = (srcs @ code.generator.astype(int).T) % 2
+    assert np.array_equal(code.codebook(), book)
+    rng = np.random.default_rng(23)
+    llr = rng.normal(0.0, 2.0, size=(300, code.M))
+    llr[:20] = np.round(llr[:20])  # integer LLRs make correlation ties
+    want = srcs[np.argmax(llr @ (1.0 - 2.0 * book).T, axis=1)]  # first maximum
+    assert np.array_equal(codec.decode(code, llr), want)
+
+
 # ---------------------------------------------------------------------------
 # decoding
 
@@ -323,7 +387,7 @@ def test_block_encode_and_decode_match_frame_by_frame(name):
 def reference_bp(code, llr, iterations=50):
     """One frame of flooding sum-product BP: dense syndrome, edges rebuilt
     per call. Returns (source estimate, iterations run)."""
-    h = code.parity
+    h = code.parity[code.parity.any(axis=1)]  # an empty check constrains nothing
     check_idx, var_idx = np.nonzero(h)
     row_starts = np.searchsorted(check_idx, np.arange(h.shape[0]))
 
@@ -363,6 +427,92 @@ def test_bp_block_frames_leave_at_their_own_iteration():
     assert len(set(iterations)) >= 3, iterations
     assert iterations[-1] == 20
     assert np.array_equal(got[0], src[0])
+
+
+def bp_run(code, llr, iterations, monkeypatch):
+    """decode on one frame, and the iterations it ran: each runs phi twice."""
+    calls = []
+    phi = codec._phi
+    monkeypatch.setattr(codec, "_phi", lambda x: calls.append(1) or phi(x))
+    got = codec.decode(code, llr, bp_iterations=iterations)
+    monkeypatch.setattr(codec, "_phi", phi)
+    assert len(calls) % 2 == 0
+    return got, len(calls) // 2
+
+
+def assert_bp_matches_reference(code, llr, iterations, monkeypatch):
+    """Block and one-frame decisions, and each frame's iterations, equal
+    the reference decoder's; returns the iterations."""
+    block = codec.decode(code, llr, bp_iterations=iterations)
+    runs = []
+    for t in range(llr.shape[0]):
+        want, want_it = reference_bp(code, llr[t], iterations=iterations)
+        got, got_it = bp_run(code, llr[t], iterations, monkeypatch)
+        assert np.array_equal(block[t], want), f"frame {t}"
+        assert np.array_equal(got, want), f"frame {t}"
+        assert got_it == want_it, f"frame {t}"
+        runs.append(got_it)
+    return runs
+
+
+def parity_code(p, extra_rows=()):
+    """Systematic code with H = [P | I] and G = [I; P], plus any extra check rows."""
+    p = np.asarray(p, dtype=np.uint8)
+    r, k = p.shape
+    h = np.hstack([p, np.eye(r, dtype=np.uint8)])
+    if len(extra_rows):
+        h = np.vstack([h, np.asarray(extra_rows, dtype=np.uint8)])
+    g = np.vstack([np.eye(k, dtype=np.uint8), p])
+    return codec.LinearCode(g, parity=h, source_positions=np.arange(k))
+
+
+_HAND_PARITY = {
+    # each check reads one parity bit only: degree 1
+    "degree1": parity_code(np.zeros((3, 4))),
+    # repetition-like pairs: degree 2
+    "degree2": parity_code([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 0, 0]]),
+    # degrees 2 and 3; source bit 4 is in no check; an all-zero check row
+    "degree3": parity_code([[1, 1, 0, 0, 0], [0, 1, 1, 0, 0], [1, 0, 0, 1, 0], [0, 0, 0, 1, 0]],
+                           extra_rows=[np.zeros(9)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_HAND_PARITY))
+def test_bp_matches_reference_on_hand_built_checks(name, monkeypatch):
+    code = _HAND_PARITY[name]
+    degrees = code.parity.sum(axis=1)
+    assert degrees.max() == int(name[-1])
+    if name == "degree3":
+        assert 0 in degrees and not code.parity[:, 4].any()
+    rng = np.random.default_rng(31)
+    src = rng.integers(0, 2, size=(30, code.K), dtype=np.uint8)
+    llr = noiseless_llr(codec.encode(code, src), scale=1.0)
+    llr += rng.normal(0.0, np.linspace(0.2, 3.0, 30)[:, None], size=llr.shape)
+    runs = assert_bp_matches_reference(code, llr, 12, monkeypatch)
+    assert min(runs) == 1
+
+
+def test_bp_matches_reference_on_mixed_check_degrees(monkeypatch):
+    code = codec.ldpc_code(12)
+    assert set(code.parity.sum(axis=1)) == {2, 4, 6}
+    rng = np.random.default_rng(37)
+    src = rng.integers(0, 2, size=(40, code.K), dtype=np.uint8)
+    llr = noiseless_llr(codec.encode(code, src), scale=1.0)
+    llr += rng.normal(0.0, np.linspace(0.2, 3.0, 40)[:, None], size=llr.shape)
+    runs = assert_bp_matches_reference(code, llr, 15, monkeypatch)
+    assert len(set(runs)) >= 3 and max(runs) == 15, runs
+
+
+def test_bp_matches_reference_at_the_iteration_cap(monkeypatch):
+    # the stage-1 LLRs of the ldpc1024 link at sigma2 0.35, where BP fails
+    from ocbsim import linksim, ocb
+    from ocbsim.awgn_info import NoiseModel
+
+    code = codec.ldpc_code(1024)
+    cfg = linksim.LinkConfig(code, code, alpha=1.0 / np.sqrt(2.0), sigma2=0.35, trials=3)
+    blk = linksim.transmit_block(cfg, (np.random.default_rng(s) for s in range(3)), 3)
+    llr = ocb.demap_stage1(blk.y, ocb.Constellation(cfg.alpha), NoiseModel(cfg.sigma2))
+    assert assert_bp_matches_reference(code, llr, 50, monkeypatch) == [50, 50, 50]
 
 
 def test_bp_needs_an_iteration():

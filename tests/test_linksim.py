@@ -218,7 +218,8 @@ def reference_run_trials(cfg):
     return stats
 
 
-# (code1, code2, sigma2, trials); every trial count leaves a partial block
+# (code1, code2, sigma2, trials); in blocks of 4096 symbols every trial
+# count fills at least one block and leaves a partial one
 _LINKS = {
     "hamming74": (HAM, HAM, 0.6, 700),
     "repetition7-hamming74": (codec.repetition_code(7), HAM, 0.6, 700),
@@ -230,8 +231,10 @@ _LINKS = {
 @pytest.mark.parametrize("shards", [1, 3])
 @pytest.mark.parametrize("mode", linksim.STAGE2_MODES)
 @pytest.mark.parametrize("link", sorted(_LINKS))
-def test_blocks_match_the_frame_by_frame_chain(link, mode, shards):
+def test_blocks_match_the_frame_by_frame_chain(link, mode, shards, monkeypatch):
     code1, code2, sigma2, trials = _LINKS[link]
+    monkeypatch.setattr(linksim, "BLOCK_SYMBOLS", 4096)
+    assert trials > linksim.BLOCK_SYMBOLS // code1.M
     assert trials % max(1, linksim.BLOCK_SYMBOLS // code1.M) != 0
     cfg = LinkConfig(code1, code2, alpha=INV2, sigma2=sigma2, trials=trials, seed=12,
                      stage2_input=mode, shards=shards)
@@ -244,6 +247,18 @@ def test_block_size_does_not_change_tallies(monkeypatch):
     cfg = LinkConfig(HAM, HAM, alpha=INV2, sigma2=0.7, trials=230, seed=4)
     ref = linksim.run_trials(cfg)
     for symbols in (1, 50, 10**6):
+        monkeypatch.setattr(linksim, "BLOCK_SYMBOLS", symbols)
+        assert linksim.run_trials(cfg) == ref, symbols
+
+
+def test_block_size_does_not_change_bp_tallies(monkeypatch):
+    # BP frames leave a block at their own iteration; blocks of 1 frame, of
+    # 7 (the last one holds 2) and of all 100 give the same tallies
+    code = codec.ldpc_code(96)
+    cfg = LinkConfig(code, code, alpha=INV2, sigma2=0.3, trials=100, seed=8)
+    ref = linksim.run_trials(cfg)
+    assert ref.frame_errors1 > 0
+    for symbols in (1, 7 * 96, 10**6):
         monkeypatch.setattr(linksim, "BLOCK_SYMBOLS", symbols)
         assert linksim.run_trials(cfg) == ref, symbols
 
