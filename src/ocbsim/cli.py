@@ -11,6 +11,8 @@ Every command accepts ``--seed``, ``--out``, ``--threads`` (at least 1) and
 an optional ``--config`` file of ``key = value`` lines; ``curves`` and
 ``verify`` also take ``--quad-order``. Each config line is parsed as the
 flag of the same name, and command-line flags override config-file values.
+``--threads`` is the link's worker-process count (``simulate`` and
+``verify``'s genie link); ``curves`` accepts it and ignores it.
 Outputs are byte-identical across reruns
 and across ``--threads`` settings. A plain-text manifest sidecar records the
 command, parameters, seed, version, wall-clock and output digests.
@@ -215,7 +217,6 @@ _SIM_DEFAULTS = {
     "code2": "hamming74",
     "trials": 1000,
     "stage2_input": "reconstructed",
-    "shards": 1,
 }
 
 
@@ -224,24 +225,18 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     code1 = _resolve_code(opt["code1"])
     code2 = code1 if opt["code2"] == opt["code1"] else _resolve_code(opt["code2"])
 
+    cfgs = [linksim.LinkConfig(code1=code1, code2=code2, alpha=opt["alpha"], sigma2=sigma2,
+                               trials=opt["trials"], seed=args.seed + row_index,
+                               stage2_input=opt["stage2_input"])
+            for row_index, sigma2 in enumerate(opt["sigma2"])]  # all checked before any runs
     rows = []
-    for row_index, sigma2 in enumerate(opt["sigma2"]):
-        cfg = linksim.LinkConfig(
-            code1=code1,
-            code2=code2,
-            alpha=opt["alpha"],
-            sigma2=sigma2,
-            trials=opt["trials"],
-            seed=args.seed + row_index,
-            stage2_input=opt["stage2_input"],
-            shards=opt["shards"],
-        )
+    for cfg in cfgs:
         stats = linksim.run_trials(cfg, threads=args.threads)
         cond = stats.cond_ber2_given_v1_err
         rows.append({
-            "gamma": np.inf if sigma2 == 0.0 else 2.0 * opt["alpha"] ** 2 / sigma2,
+            "gamma": cfg.gamma,
             "alpha": opt["alpha"],
-            "sigma2": sigma2,
+            "sigma2": cfg.sigma2,
             "code1": opt["code1"],
             "code2": opt["code2"],
             "k1": code1.K,
@@ -465,7 +460,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="base RNG seed")
     parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--threads", type=_positive_int, default=1, help="worker processes")
+    parser.add_argument("--threads", type=_positive_int, default=1,
+                        help="link worker processes (results do not depend on this)")
     parser.add_argument("--config", default=None,
                         help="key = value config file; flags override it")
 
@@ -504,11 +500,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="axis-stream code: builtin name or @generator-file")
     p.add_argument("--code2", default=None,
                    help="sign-stream code: builtin name or @generator-file")
-    p.add_argument("--trials", type=int, default=None, help="blocks per SNR point")
+    p.add_argument("--trials", type=int, default=None, help="frames per SNR point")
     p.add_argument("--stage2-input", dest="stage2_input",
                    choices=linksim.STAGE2_MODES, default=None)
-    p.add_argument("--shards", type=int, default=None,
-                   help="independent trial shards (results do not depend on this)")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("verify", help="run numeric cross-checks and the gap table")

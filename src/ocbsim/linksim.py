@@ -7,8 +7,8 @@ decode it, tally errors.
 
 Reproducibility contract: trial t draws from a private generator seeded by
 SeedSequence([seed, t]), in the order c1, c2, real noise, imaginary noise,
-so tallies are independent of how trials are split into shards and of the
-execution order of shards.
+so tallies are independent of how run_trials splits the blocks of frames
+across worker processes.
 
 Frames run in blocks of about BLOCK_SYMBOLS symbols (16384: 16 frames of
 ldpc1024, 2340 of hamming74). Within a block each frame still draws from
@@ -18,9 +18,6 @@ frames at once. A frame's result does not depend on the block it lands in,
 so the block size changes speed and memory, not tallies. Larger blocks
 spread the per-call cost of each BP iteration over more frames; a block of
 16 ldpc1024 frames keeps BP's message arrays near 400 KB each.
-
-At sigma2 = 0 the demappers' LLRs are the noiseless limit: +-LLR_CLIP with
-the sign of the noiseless statistic, ties going to bit 0.
 
 Uncoded per-symbol statistics are the link's own: with identity codes, ber1
 is the hard axis-decision error rate (llr1 < 0 exactly when |im| > |re|),
@@ -38,7 +35,6 @@ import numpy as np
 
 from . import codec
 from .awgn_info import NoiseModel
-from .codec import LLR_CLIP
 from .ocb import Constellation, demap_stage1, demap_stage2, map_bits, reconstruct_v1
 
 __all__ = [
@@ -54,6 +50,9 @@ STAGE2_MODES = ("reconstructed", "raw_hard", "genie")
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 BLOCK_SYMBOLS = 16384  # symbols per block of frames (at least one frame)
+# Ceiling on the symbol SNR 2 alpha^2 / sigma2 and energy 2 alpha^2 at sigma2 > 0: the
+# demappers' products grow with both, and past float range ML's sums of LLRs give NaN.
+GAMMA_MAX = 1e300
 
 
 def q_function(x: float) -> float:
@@ -72,15 +71,14 @@ class LinkConfig:
     trials: int
     seed: int = 0
     stage2_input: str = "reconstructed"
-    shards: int = 1
 
     def __post_init__(self):
         if self.code1.M != self.code2.M:
             raise ValueError(
                 f"both streams must span the same block length, got {self.code1.M} and {self.code2.M}"
             )
-        if not self.alpha > 0.0:
-            raise ValueError("alpha must be positive")
+        if not 0.0 < self.alpha < math.inf:
+            raise ValueError("alpha must be positive and finite")
         if not 0.0 <= self.sigma2 < math.inf:
             raise ValueError("sigma2 must be finite and nonnegative")
         if self.trials < 1:
@@ -89,8 +87,21 @@ class LinkConfig:
             raise ValueError("seed must be a nonnegative integer")
         if self.stage2_input not in STAGE2_MODES:
             raise ValueError(f"stage2_input must be one of {STAGE2_MODES}")
-        if self.shards < 1:
-            raise ValueError("shards must be >= 1")
+        # the alpha bound comes first, so alpha ** 2 in gamma cannot overflow
+        if self.sigma2 > 0.0 and not (self.alpha <= math.sqrt(0.5 * GAMMA_MAX)
+                                      and self.gamma <= GAMMA_MAX):
+            raise ValueError(f"2 alpha^2 and 2 alpha^2 / sigma2 must be at most {GAMMA_MAX:g}; "
+                             "use --sigma2 0 for the noiseless limit")
+
+    @property
+    def gamma(self) -> float:
+        """Symbol SNR 2 alpha^2 / sigma2; inf at sigma2 = 0."""
+        return 2.0 * float(self.alpha) ** 2 / self.sigma2 if self.sigma2 > 0.0 else math.inf
+
+    @property
+    def shards(self) -> int:
+        """Always 1, for the benchmark's replay; goes with it, like codec.LinearCode.kind."""
+        return 1
 
 
 @dataclass
@@ -206,17 +217,9 @@ def transmit_block(cfg: LinkConfig, rngs, frames: int) -> TxBlock:
     return TxBlock(c1, c2, v1, v2, y)
 
 
-def _saturated(statistic: np.ndarray) -> np.ndarray:
-    """Noiseless-limit LLRs: +-LLR_CLIP by sign, ties toward bit 0."""
-    return np.where(statistic >= 0.0, LLR_CLIP, -LLR_CLIP)
-
-
 def _tally(cfg: LinkConfig, cons: Constellation, noise: NoiseModel | None, blk: TxBlock) -> SimStats:
     """Receive a block of frames and count its errors; noise None is sigma2 = 0."""
-    if noise is None:
-        llr1 = _saturated(np.abs(blk.y.real) - np.abs(blk.y.imag))
-    else:
-        llr1 = demap_stage1(blk.y, cons, noise)
+    llr1 = demap_stage1(blk.y, cons, noise)
     c1_hat = codec.decode(cfg.code1, llr1)
     if cfg.stage2_input == "reconstructed":
         v1_used = reconstruct_v1(c1_hat, cfg.code1)
@@ -224,10 +227,7 @@ def _tally(cfg: LinkConfig, cons: Constellation, noise: NoiseModel | None, blk: 
         v1_used = (llr1 < 0.0).astype(np.uint8)
     else:  # genie: axis word forced correct
         v1_used = blk.v1
-    if noise is None:
-        llr2 = _saturated(np.where(v1_used == 0, blk.y.real, blk.y.imag))
-    else:
-        llr2 = demap_stage2(blk.y, v1_used, cons, noise)
+    llr2 = demap_stage2(blk.y, v1_used, cons, noise)
     c2_hat = codec.decode(cfg.code2, llr2)
 
     be1 = np.count_nonzero(c1_hat != blk.c1, axis=1)
@@ -248,33 +248,28 @@ def _tally(cfg: LinkConfig, cons: Constellation, noise: NoiseModel | None, blk: 
     )
 
 
-def run_shard(cfg: LinkConfig, shard: int) -> SimStats:
-    """Tallies for the trials t with t % shards == shard."""
+def _run_blocks(cfg: LinkConfig, blocks) -> SimStats:
+    """Tallies for a list of blocks, each a range of trial ids."""
     cons = Constellation(cfg.alpha)
     noise = None if cfg.sigma2 == 0.0 else NoiseModel(cfg.sigma2)
-    trial_ids = range(shard, cfg.trials, cfg.shards)
     stats = SimStats(trials=0, k1=cfg.code1.K, k2=cfg.code2.K, block_len=cfg.code1.M)
-    per_block = max(1, BLOCK_SYMBOLS // cfg.code1.M)
-    for start in range(0, len(trial_ids), per_block):
-        ids = trial_ids[start:start + per_block]
+    for ids in blocks:
         blk = transmit_block(cfg, (_trial_rng(cfg.seed, t) for t in ids), len(ids))
         stats = stats + _tally(cfg, cons, noise, blk)
     return stats
 
 
-def _shard_worker(args) -> SimStats:
-    cfg, shard = args
-    return run_shard(cfg, shard)
-
-
 def run_trials(cfg: LinkConfig, threads: int = 1) -> SimStats:
-    """Full receiver chain over cfg.trials frames; shard-count invariant."""
-    if threads > 1 and cfg.shards > 1:
-        with ProcessPoolExecutor(max_workers=min(threads, cfg.shards)) as pool:
-            parts = list(pool.map(_shard_worker, [(cfg, s) for s in range(cfg.shards)]))
-    else:
-        parts = [run_shard(cfg, s) for s in range(cfg.shards)]
-    total = parts[0]
-    for part in parts[1:]:
-        total = total + part
-    return total
+    """Full receiver chain over cfg.trials frames on min(threads, blocks)
+    worker processes, each running a contiguous run of whole blocks; with one
+    worker it runs in-process. The tallies do not depend on threads."""
+    per_block = max(1, BLOCK_SYMBOLS // cfg.code1.M)
+    blocks = [range(t, min(t + per_block, cfg.trials)) for t in range(0, cfg.trials, per_block)]
+    workers = min(threads, len(blocks))
+    if workers == 1:
+        return _run_blocks(cfg, blocks)
+    runs = [blocks[len(blocks) * i // workers:len(blocks) * (i + 1) // workers]
+            for i in range(workers)]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        parts = list(pool.map(_run_blocks, [cfg] * workers, runs))
+    return sum(parts[1:], parts[0])

@@ -10,7 +10,8 @@ the sign along that axis:
 Received samples are complex numbers y = re + j*im with AWGN of variance
 sigma2 per real dimension. Stage 1 demaps the axis bit from the 2-vs-2
 grouping; stage 2, after the axis word has been reconstructed, sees a plain
-BPSK on the selected axis. LLRs are positive when bit 0 is more likely.
+BPSK on the selected axis. LLRs are positive when bit 0 is more likely. With
+noise None (sigma2 = 0) both give +-LLR_CLIP by the sign of their statistic.
 """
 
 from __future__ import annotations
@@ -66,7 +67,12 @@ def map_bits(v1, v2, cons: Constellation):
     return sym if sym.ndim else complex(sym)
 
 
-def demap_stage1(y, cons: Constellation, noise: NoiseModel):
+def _saturated(statistic: np.ndarray) -> np.ndarray:
+    """Noiseless-limit LLRs: +-LLR_CLIP by sign, ties toward bit 0."""
+    return np.where(statistic >= 0.0, codec.LLR_CLIP, -codec.LLR_CLIP)
+
+
+def demap_stage1(y, cons: Constellation, noise: NoiseModel | None):
     """Axis LLR ln[(p(y|s1)+p(y|s3)) / (p(y|s2)+p(y|s4))], equal priors.
 
     Factoring the common Gaussian terms leaves
@@ -74,18 +80,21 @@ def demap_stage1(y, cons: Constellation, noise: NoiseModel):
     evaluated via logaddexp for stability.
     """
     y = np.asarray(y, dtype=complex)
-    kre = cons.amplitude * y.real / noise.sigma2
-    kim = cons.amplitude * y.imag / noise.sigma2
-    llr = np.logaddexp(kre, -kre) - np.logaddexp(kim, -kim)
+    if noise is None:
+        llr = _saturated(np.abs(y.real) - np.abs(y.imag))
+    else:
+        kre = cons.amplitude * y.real / noise.sigma2
+        kim = cons.amplitude * y.imag / noise.sigma2
+        llr = np.logaddexp(kre, -kre) - np.logaddexp(kim, -kim)
     return llr if llr.ndim else float(llr)
 
 
-def demap_stage2(y, v1_hat, cons: Constellation, noise: NoiseModel):
+def demap_stage2(y, v1_hat, cons: Constellation, noise: NoiseModel | None):
     """Sign LLR on the axis named by v1_hat: 2*a*coord/sigma2."""
     y = np.asarray(y, dtype=complex)
     v1_hat = np.asarray(v1_hat)
     coord = np.where(v1_hat == 0, y.real, y.imag)
-    llr = 2.0 * cons.amplitude * coord / noise.sigma2
+    llr = _saturated(coord) if noise is None else 2.0 * cons.amplitude * coord / noise.sigma2
     return llr if llr.ndim else float(llr)
 
 

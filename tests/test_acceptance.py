@@ -197,7 +197,8 @@ def test_criterion_09_codec_exactness():
 def test_criterion_10_cli_byte_determinism(tmp_path):
     plans = {
         "curves": ["curves", "--points", "8", "--svg"],
-        "simulate": ["simulate", "--trials", "25", "--sigma2", "0.5,1.0", "--shards", "6"],
+        # 2400 hamming74 frames are two blocks: --threads 4 runs two workers
+        "simulate": ["simulate", "--trials", "2400", "--sigma2", "0.5,1.0"],
         "verify": ["verify", "--grid-points", "12", "--mc-samples", "30000",
                    "--trials", "100"],
     }

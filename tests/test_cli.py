@@ -147,8 +147,7 @@ EVERY_OPTION = {
     "curves": {"gamma-min": "0.05", "gamma_max": "40", "points": "7", "spacing": "linear",
                "quad_order": "48", "svg": "true"},
     "simulate": {"alpha": "0.8", "sigma2": "0.4, 0.9", "code1": "repetition3",
-                 "code2": "identity3", "trials": "50", "stage2-input": "raw_hard",
-                 "shards": "2"},
+                 "code2": "identity3", "trials": "50", "stage2-input": "raw_hard"},
     "verify": {"quad_order": "64", "grid_points": "3", "mc_samples": "20000",
                "mc_tol": "0.02", "trials": "40", "gap_threshold": "0.02"},
 }
@@ -306,14 +305,51 @@ def test_simulate_error_propagation_columns(tmp_path):
     assert float(rec["cond_ber2_given_v1_err"]) == pytest.approx(0.5, abs=0.1)
 
 
-def test_simulate_is_shard_and_thread_invariant(tmp_path):
+def test_simulate_is_thread_invariant(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     a.mkdir(), b.mkdir()
-    common = ("simulate", "--trials", "40", "--sigma2", "0.5,1.0", "--seed", "7")
-    r1 = run_cli(*common, "--shards", "1", "--out", str(a), cwd=tmp_path)
-    r2 = run_cli(*common, "--shards", "8", "--threads", "3", "--out", str(b), cwd=tmp_path)
+    # 2400 hamming74 frames are two blocks, so --threads 3 runs two workers
+    common = ("simulate", "--trials", "2400", "--sigma2", "0.5,1.0", "--seed", "7")
+    r1 = run_cli(*common, "--out", str(a), cwd=tmp_path)
+    r2 = run_cli(*common, "--threads", "3", "--out", str(b), cwd=tmp_path)
     assert r1.returncode == 0 and r2.returncode == 0
     assert read(a / "sim.csv") == read(b / "sim.csv")
+
+
+def test_simulate_has_no_shards_option(tmp_path):
+    out = run_cli("simulate", "--trials", "5", "--shards", "2", cwd=tmp_path)
+    assert out.returncode == 2
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("shards = 2\n")
+    out = run_cli("simulate", "--trials", "5", "--config", str(cfg), cwd=tmp_path)
+    assert out.returncode == 2
+    assert "shards" in out.stderr
+    assert not (tmp_path / "sim.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("--alpha", "1e154", "--sigma2", "0.5", "--trials", "50"),  # gamma overflows
+    ("--sigma2", "1e-320", "--trials", "5"),  # subnormal noise variance
+    ("--alpha", "1e200"),  # alpha ** 2 overflows
+    ("--sigma2", "0.5,1e-320", "--trials", "5"),  # only the second level is bad
+])
+def test_simulate_refuses_an_snr_past_float_range(tmp_path, argv):
+    out = run_cli("simulate", *argv, cwd=tmp_path)
+    assert out.returncode == 2, out.stderr
+    assert "--sigma2 0" in out.stderr
+    assert "Traceback" not in out.stderr
+    assert not (tmp_path / "sim.csv").exists()
+
+
+def test_simulate_at_the_snr_ceiling_is_clean(tmp_path):
+    out = run_cli("simulate", "--alpha", "1", "--sigma2", "2e-300", "--trials", "50",
+                  cwd=tmp_path)
+    assert out.returncode == 0, out.stderr
+    header, row = (tmp_path / "sim.csv").read_text().splitlines()
+    rec = dict(zip(header.split(","), row.split(",")))
+    assert float(rec["gamma"]) == pytest.approx(1e300, rel=1e-12)
+    for col in ("ber1", "ber2", "fer1", "fer2", "cond_events"):
+        assert float(rec[col]) == 0.0, col
 
 
 def test_simulate_block_length_mismatch_is_a_usage_error(tmp_path):

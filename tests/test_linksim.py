@@ -1,12 +1,15 @@
 """End-to-end link simulation: noiseless limits, analytic error-rate
-oracles, reproducibility across shards and processes, and tally algebra."""
+oracles, reproducibility across worker processes, and tally algebra."""
+
+from collections import Counter
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.stats import norm
 
-from ocbsim import codec, linksim
+from ocbsim import codec, linksim, ocb
 from ocbsim.linksim import LinkConfig, SimStats, q_function
 
 INV2 = 1.0 / np.sqrt(2.0)
@@ -45,12 +48,45 @@ def test_config_requires_matching_block_lengths():
         dict(alpha=1.0, sigma2=0.5, trials=0),
         dict(alpha=1.0, sigma2=0.5, trials=10, seed=-1),
         dict(alpha=1.0, sigma2=0.5, trials=10, stage2_input="psychic"),
-        dict(alpha=1.0, sigma2=0.5, trials=10, shards=0),
     ],
 )
 def test_config_rejects_bad_parameters(kwargs):
     with pytest.raises(ValueError):
         LinkConfig(HAM, HAM, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "alpha,sigma2",
+    [
+        (1e154, 0.5),  # gamma overflows to inf
+        (INV2, 1e-320),  # gamma inf from a subnormal sigma2
+        (1e200, 0.5),  # alpha ** 2 overflows
+        (1.0, 1e-301),  # gamma 2e301, finite but past the ceiling
+        (9e153, 1e10),  # gamma 1.6e298, but the symbol energy 1.6e308 is not
+    ],
+)
+def test_config_refuses_llrs_past_float_range(alpha, sigma2):
+    with pytest.raises(ValueError, match="at most 1e\\+300"):
+        LinkConfig(HAM, HAM, alpha=alpha, sigma2=sigma2, trials=10)
+
+
+@pytest.mark.parametrize("sigma2", [0.0, 0.5])
+def test_config_refuses_an_infinite_alpha(sigma2):
+    with pytest.raises(ValueError, match="finite"):
+        LinkConfig(HAM, HAM, alpha=np.inf, sigma2=sigma2, trials=10)
+
+
+def test_gamma_is_the_symbol_snr():
+    assert LinkConfig(HAM, HAM, alpha=INV2, sigma2=0.5, trials=1).gamma == pytest.approx(2.0)
+    assert LinkConfig(HAM, HAM, alpha=1e200, sigma2=0.0, trials=1).gamma == np.inf
+
+
+@pytest.mark.parametrize("code", [HAM, codec.ldpc_code(96)], ids=["hamming74", "ldpc96"])
+def test_gamma_at_the_ceiling_is_error_free(code):
+    cfg = LinkConfig(code, code, alpha=1.0, sigma2=2e-300, trials=20, seed=2)
+    assert cfg.gamma == pytest.approx(linksim.GAMMA_MAX, rel=1e-15)
+    stats = linksim.run_trials(cfg)
+    assert (stats.bit_errors1, stats.bit_errors2, stats.cond_events) == (0, 0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -161,19 +197,85 @@ def test_identical_configs_give_identical_stats():
     assert a == b
 
 
-def test_stats_do_not_depend_on_shard_count():
-    base = dict(alpha=1.0, sigma2=0.4, trials=301, seed=31)
-    ref = linksim.run_trials(LinkConfig(HAM, HAM, **base))
-    for shards in (2, 4, 7):
-        got = linksim.run_trials(LinkConfig(HAM, HAM, **base, shards=shards))
-        assert got == ref, f"shards={shards}"
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """Swap run_trials' ProcessPoolExecutor for a stand-in that records its
+    size and the parts it is given and runs them in order in this process;
+    returns the list of pools made."""
+    made = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            self.max_workers = max_workers
+            self.parts = []
+            made.append(self)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            self.parts = list(zip(*iterables))
+            return [fn(*part) for part in self.parts]
+
+    monkeypatch.setattr(linksim, "ProcessPoolExecutor", SerialPool)
+    return made
+
+
+def test_stats_do_not_depend_on_thread_count(monkeypatch, serial_pool):
+    monkeypatch.setattr(linksim, "BLOCK_SYMBOLS", 7 * 40)  # 301 trials: 8 blocks
+    cfg = LinkConfig(HAM, HAM, alpha=1.0, sigma2=0.4, trials=301, seed=31)
+    ref = linksim.run_trials(cfg)
+    for threads in (2, 4, 7):
+        got = linksim.run_trials(cfg, threads=threads)
+        assert got == ref, f"threads={threads}"
+    assert [pool.max_workers for pool in serial_pool] == [2, 4, 7]
+
+
+@pytest.mark.parametrize("trials,threads", [(160, 1), (160, 2), (160, 3), (161, 4), (161, 9)])
+def test_threads_split_the_blocks_into_contiguous_runs(monkeypatch, serial_pool, trials, threads):
+    monkeypatch.setattr(linksim, "BLOCK_SYMBOLS", 7 * 40)  # 40 frames a block
+    drawn = Counter()
+
+    def counting_rng(seed, trial):
+        drawn[trial] += 1
+        return np.random.default_rng(np.random.SeedSequence([seed, trial]))
+
+    monkeypatch.setattr(linksim, "_trial_rng", counting_rng)
+    cfg = LinkConfig(HAM, HAM, alpha=1.0, sigma2=0.4, trials=trials, seed=5)
+    stats = linksim.run_trials(cfg, threads=threads)
+    assert stats.trials == trials
+    assert drawn == Counter(range(trials))  # every trial exactly once
+    blocks = -(-trials // 40)
+    workers = min(threads, blocks)
+    if workers == 1:
+        assert serial_pool == []  # in-process
+        return
+    (pool,) = serial_pool
+    assert pool.max_workers == workers and len(pool.parts) == workers
+    runs = [run for _, run in pool.parts]
+    assert all(runs)  # no empty part
+    # the parts, in order, are runs of whole blocks that cover every trial once
+    assert [ids for run in runs for ids in run] == [
+        range(t, min(t + 40, trials)) for t in range(0, trials, 40)]
 
 
 def test_stats_do_not_depend_on_worker_processes():
-    cfg = LinkConfig(HAM, HAM, alpha=1.0, sigma2=0.4, trials=200, seed=8, shards=4)
+    cfg = LinkConfig(HAM, HAM, alpha=1.0, sigma2=0.4, trials=2400, seed=8)
     serial = linksim.run_trials(cfg, threads=1)
-    parallel = linksim.run_trials(cfg, threads=4)
+    parallel = linksim.run_trials(cfg, threads=2)
     assert serial == parallel
+
+
+@pytest.mark.parametrize("sigma2", [0.0, 0.4])
+@pytest.mark.parametrize("code,trials", [(HAM, 2400), (codec.ldpc_code(96), 200)],
+                         ids=["hamming74", "ldpc96"])
+def test_two_worker_processes_match_in_process(code, trials, sigma2):
+    cfg = LinkConfig(code, code, alpha=INV2, sigma2=sigma2, trials=trials, seed=3)
+    assert trials > linksim.BLOCK_SYMBOLS // code.M  # at least two blocks
+    assert asdict(linksim.run_trials(cfg, threads=2)) == asdict(linksim.run_trials(cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -228,17 +330,19 @@ _LINKS = {
 }
 
 
-@pytest.mark.parametrize("shards", [1, 3])
+@pytest.mark.parametrize("threads", [1, 3])
 @pytest.mark.parametrize("mode", linksim.STAGE2_MODES)
 @pytest.mark.parametrize("link", sorted(_LINKS))
-def test_blocks_match_the_frame_by_frame_chain(link, mode, shards, monkeypatch):
+def test_blocks_match_the_frame_by_frame_chain(link, mode, threads, monkeypatch, serial_pool):
     code1, code2, sigma2, trials = _LINKS[link]
     monkeypatch.setattr(linksim, "BLOCK_SYMBOLS", 4096)
     assert trials > linksim.BLOCK_SYMBOLS // code1.M
     assert trials % max(1, linksim.BLOCK_SYMBOLS // code1.M) != 0
     cfg = LinkConfig(code1, code2, alpha=INV2, sigma2=sigma2, trials=trials, seed=12,
-                     stage2_input=mode, shards=shards)
-    got = linksim.run_trials(cfg)
+                     stage2_input=mode)
+    got = linksim.run_trials(cfg, threads=threads)  # threads 3: 2 or 3 parts, in-process
+    blocks = -(-trials // max(1, linksim.BLOCK_SYMBOLS // code1.M))
+    assert [len(pool.parts) for pool in serial_pool] == ([] if threads == 1 else [min(3, blocks)])
     assert got == reference_run_trials(cfg)
     assert got.frame_errors1 > 0 and got.frame_errors2 > 0
 
@@ -273,8 +377,14 @@ def test_noiseless_limit_is_error_free(code, mode):
 
 
 def test_noiseless_limit_saturates_at_the_decoder_clip():
-    stat = np.array([2.0, -0.5, 0.0, -0.0])
-    assert np.array_equal(linksim._saturated(stat), [30.0, -30.0, 30.0, 30.0])
+    cons = ocb.Constellation(INV2)
+    # stage 1 reads |re| - |im|: 2, -0.5, 0, 0
+    y1 = np.array([2.0, 0.5 + 1j, 1 - 1j, complex(-0.0, 0.0)])
+    assert np.array_equal(ocb.demap_stage1(y1, cons, None), [30.0, -30.0, 30.0, 30.0])
+    # stage 2 reads the chosen coordinate: 2, -0.5, 0, -0
+    y2 = np.array([2.0 + 5j, 5 - 0.5j, -5j, complex(5.0, -0.0)])
+    v1 = np.array([0, 1, 0, 1])
+    assert np.array_equal(ocb.demap_stage2(y2, v1, cons, None), [30.0, -30.0, 30.0, 30.0])
     assert codec.LLR_CLIP == 30.0
 
 
