@@ -13,8 +13,7 @@ from .awgn_info import (
     NoiseModel,
     PointSet,
     gaussian_capacity,
-    mi_awgn_1d,
-    mi_awgn_2d,
+    mi_awgn,
     mi_bpsk,
     mi_monte_carlo,
     mi_qpsk,
@@ -42,8 +41,7 @@ __all__ = [
     "NoiseModel",
     "PointSet",
     "gaussian_capacity",
-    "mi_awgn_1d",
-    "mi_awgn_2d",
+    "mi_awgn",
     "mi_bpsk",
     "mi_monte_carlo",
     "mi_qpsk",

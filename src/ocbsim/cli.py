@@ -7,10 +7,11 @@ curves    sweep the rate curves over an SNR grid -> curves.csv (+ curves.svg)
 simulate  run the two-stage coded link -> sim.csv
 verify    run the numeric cross-checks -> report (+ verify.txt)
 
-Every command accepts ``--seed``, ``--out``, ``--threads`` (at least 1) and
-an optional ``--config`` file of ``key = value`` lines; ``curves`` and
-``verify`` also take ``--quad-order``. Each config line is parsed as the
-flag of the same name, and command-line flags override config-file values.
+Every command accepts ``--seed`` (at least 0), ``--out``, ``--threads`` (at
+least 1) and an optional ``--config`` file of ``key = value`` lines;
+``curves`` and ``verify`` also take ``--quad-order``. Each config line is
+parsed as the flag of the same name, and command-line flags override
+config-file values.
 ``--threads`` is the link's worker-process count (``simulate`` and
 ``verify``'s genie link); ``curves`` accepts it and ignores it.
 Outputs are byte-identical across reruns
@@ -111,11 +112,16 @@ def _int_in(lo: int, hi: float = float("inf")):
 _positive_int = _int_in(1)
 
 
-def _non_negative_float(raw: str) -> float:
-    value = float(raw)
-    if not value >= 0.0:
-        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
-    return value
+def _float_in(lo: float, open_ends: bool = False):
+    """An argparse type taking floats in [lo, inf], or finite ones above lo with ``open_ends``."""
+    def parse(raw: str) -> float:
+        value = float(raw)
+        if not (lo < value < float("inf") if open_ends else value >= lo):
+            bound = f"in ({lo:g}, inf)" if open_ends else f"at least {lo:g}"
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
+        return value
+    parse.__name__ = "float"  # argparse names the type in its "invalid float value" error
+    return parse
 
 
 def _float_list(raw: str) -> tuple:
@@ -458,7 +464,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=0, help="base RNG seed")
+    parser.add_argument("--seed", type=_int_in(0), default=0, help="base RNG seed (at least 0)")
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--threads", type=_positive_int, default=1,
                         help="link worker processes (results do not depend on this)")
@@ -511,11 +517,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-points", dest="grid_points", type=_positive_int, default=None)
     p.add_argument("--mc-samples", dest="mc_samples", type=_int_in(awgn_info.MIN_MC_SAMPLES),
                    default=None)
-    p.add_argument("--mc-tol", dest="mc_tol", type=_non_negative_float, default=None,
+    p.add_argument("--mc-tol", dest="mc_tol", type=_float_in(0.0), default=None,
                    help="absolute tolerance for Monte Carlo checks "
                         "(default, or 0: 3 standard errors)")
     p.add_argument("--trials", type=_positive_int, default=None, help="genie-link trials")
-    p.add_argument("--gap-threshold", dest="gap_threshold", type=float, default=None)
+    p.add_argument("--gap-threshold", dest="gap_threshold", type=_float_in(0.0, open_ends=True),
+                   default=None, help="gap in bits the claim interval is measured at (positive)")
     p.set_defaults(func=cmd_verify)
     return parser
 

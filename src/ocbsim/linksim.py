@@ -34,7 +34,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import codec
-from .awgn_info import NoiseModel
+from .awgn_info import GAMMA_MAX, NoiseModel
 from .ocb import Constellation, demap_stage1, demap_stage2, map_bits, reconstruct_v1
 
 __all__ = [
@@ -50,9 +50,6 @@ STAGE2_MODES = ("reconstructed", "raw_hard", "genie")
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 BLOCK_SYMBOLS = 16384  # symbols per block of frames (at least one frame)
-# Ceiling on the symbol SNR 2 alpha^2 / sigma2 and energy 2 alpha^2 at sigma2 > 0: the
-# demappers' products grow with both, and past float range ML's sums of LLRs give NaN.
-GAMMA_MAX = 1e300
 
 
 def q_function(x: float) -> float:

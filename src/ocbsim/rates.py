@@ -20,6 +20,7 @@ import numpy as np
 
 from .awgn_info import (
     DEFAULT_QUAD_ORDER,
+    GAMMA_MAX,
     NoiseModel,
     gaussian_capacity,
     mi_bpsk,
@@ -90,6 +91,8 @@ class SweepSpec:
             raise ValueError("gamma_min must be positive")
         if self.gamma_max < self.gamma_min:
             raise ValueError("gamma_max must be >= gamma_min")
+        if not self.gamma_max <= GAMMA_MAX:
+            raise ValueError(f"gamma_max must be at most {GAMMA_MAX:g}, got {self.gamma_max}")
         if self.points < 1 or (self.points < 2 and self.gamma_max > self.gamma_min):
             raise ValueError("need at least 2 grid points for a nontrivial range")
         if self.spacing not in ("log", "linear"):

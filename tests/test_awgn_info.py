@@ -89,14 +89,6 @@ def test_pointset_refuses_other_shapes(shape):
         ai.PointSet(np.zeros(shape), np.full(4, 0.25))
 
 
-def test_quadrature_refuses_the_wrong_dimension():
-    noise = ai.NoiseModel(1.0)
-    with pytest.raises(ValueError):
-        ai.mi_awgn_1d(ai.PointSet.uniform([(1.0, 0.0), (-1.0, 0.0)]), noise)
-    with pytest.raises(ValueError):
-        ai.mi_awgn_2d(ai.PointSet.uniform([1.0, -1.0]), noise)
-
-
 def test_mi_result_validation():
     with pytest.raises(ValueError):
         ai.MiResult(0.5, "guesswork")
@@ -109,24 +101,24 @@ def test_mi_result_validation():
 
 
 def test_single_point_alphabet_carries_no_information():
-    r = ai.mi_awgn_1d(ai.PointSet1D.uniform([0.0]), ai.NoiseModel(1.0))
+    r = ai.mi_awgn(ai.PointSet1D.uniform([0.0]), ai.NoiseModel(1.0))
     assert r.bits == 0.0
     assert r.method == "quadrature"
 
 
 def test_bpsk_vanishing_snr():
-    r = ai.mi_awgn_1d(ai.PointSet1D.uniform([1.0, -1.0]), ai.NoiseModel(1e6))
+    r = ai.mi_awgn(ai.PointSet1D.uniform([1.0, -1.0]), ai.NoiseModel(1e6))
     assert 0.0 <= r.bits < 1e-4
 
 
 def test_bpsk_sigma2_one_matches_frozen_mc_oracle():
-    r = ai.mi_awgn_1d(ai.PointSet1D.uniform([1.0, -1.0]), ai.NoiseModel(1.0))
+    r = ai.mi_awgn(ai.PointSet1D.uniform([1.0, -1.0]), ai.NoiseModel(1.0))
     assert abs(r.bits - V1_MC) < 3.0 * V1_SE
 
 
 def test_quadrature_order_floor():
     with pytest.raises(ValueError):
-        ai.mi_awgn_1d(ai.PointSet1D.uniform([1.0, -1.0]), ai.NoiseModel(1.0), order=8)
+        ai.mi_awgn(ai.PointSet1D.uniform([1.0, -1.0]), ai.NoiseModel(1.0), order=8)
 
 
 # ---------------------------------------------------------------------------
@@ -136,8 +128,8 @@ def test_quadrature_order_floor():
 def test_square_constellation_splits_into_two_bpsk_dimensions():
     for alpha, s2 in [(1.0, 1.0), (0.5, 0.25), (2.0, 1.3)]:
         pts = [(alpha, alpha), (alpha, -alpha), (-alpha, alpha), (-alpha, -alpha)]
-        two_d = ai.mi_awgn_2d(ai.PointSet2D.uniform(pts), ai.NoiseModel(s2)).bits
-        one_d = ai.mi_awgn_1d(ai.PointSet1D.uniform([alpha, -alpha]), ai.NoiseModel(s2)).bits
+        two_d = ai.mi_awgn(ai.PointSet2D.uniform(pts), ai.NoiseModel(s2)).bits
+        one_d = ai.mi_awgn(ai.PointSet1D.uniform([alpha, -alpha]), ai.NoiseModel(s2)).bits
         assert abs(two_d - 2.0 * one_d) < 1e-6
 
 
@@ -148,18 +140,32 @@ def test_rotated_four_point_set_has_the_qpsk_rate():
     c = a / np.sqrt(2.0)
     square = ai.PointSet2D.uniform([(c, c), (c, -c), (-c, c), (-c, -c)])
     noise = ai.NoiseModel(1.0)
-    assert abs(ai.mi_awgn_2d(axis, noise).bits - ai.mi_awgn_2d(square, noise).bits) < 1e-6
+    assert abs(ai.mi_awgn(axis, noise).bits - ai.mi_awgn(square, noise).bits) < 1e-6
 
 
 def test_four_point_set_saturates_at_two_bits():
     pts = [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)]
-    r = ai.mi_awgn_2d(ai.PointSet2D.uniform(pts), ai.NoiseModel(1e-8))
+    r = ai.mi_awgn(ai.PointSet2D.uniform(pts), ai.NoiseModel(1e-8))
     assert abs(r.bits - 2.0) < 1e-6
+
+
+@pytest.mark.parametrize("gamma", [1e20, 1e100, 1e300])
+@pytest.mark.parametrize("points", [
+    [1.0, -1.0],
+    [(INV2, INV2), (INV2, -INV2), (-INV2, INV2), (-INV2, -INV2)],
+    [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)],
+], ids=["bpsk", "qpsk", "rotated"])
+def test_quadrature_saturates_exactly_up_to_the_snr_ceiling(gamma, points):
+    # symbol energy gamma at sigma2 = 1, as the named curves build them; unit noise
+    # next to amplitudes of 1e150 is kept exact only by working from point offsets
+    alphabet = ai.PointSet.uniform(np.sqrt(gamma) * np.array(points))
+    r = ai.mi_awgn(alphabet, ai.NoiseModel(1.0))
+    assert abs(r.bits - np.log2(alphabet.size)) < 1e-12
 
 
 def test_degenerate_2d_alphabet_is_zero():
     pts = [(0.3, -0.2), (0.3, -0.2)]
-    assert ai.mi_awgn_2d(ai.PointSet2D.uniform(pts), ai.NoiseModel(0.5)).bits == 0.0
+    assert ai.mi_awgn(ai.PointSet2D.uniform(pts), ai.NoiseModel(0.5)).bits == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +185,7 @@ def test_mc_agrees_with_quadrature_on_bpsk():
     alphabet = ai.PointSet1D.uniform([1.0, -1.0])
     noise = ai.NoiseModel(1.0)
     mc = ai.mi_monte_carlo(alphabet, noise, 400_000, seed=7)
-    exact = ai.mi_awgn_1d(alphabet, noise).bits
+    exact = ai.mi_awgn(alphabet, noise).bits
     assert abs(mc.bits - exact) < 3.0 * mc.stderr
 
 
@@ -188,7 +194,7 @@ def test_mc_agrees_with_quadrature_in_2d():
     alphabet = ai.PointSet2D.uniform(pts)
     noise = ai.NoiseModel(0.8)
     mc = ai.mi_monte_carlo(alphabet, noise, 400_000, seed=19)
-    exact = ai.mi_awgn_2d(alphabet, noise).bits
+    exact = ai.mi_awgn(alphabet, noise).bits
     assert abs(mc.bits - exact) < 3.0 * mc.stderr
 
 
@@ -266,7 +272,7 @@ def test_bpsk_curve_is_scale_invariant(sigma2):
     # same gamma from different (energy, noise) pairs, same value
     gamma = 1.7
     amp = np.sqrt(gamma * sigma2)
-    direct = ai.mi_awgn_1d(ai.PointSet1D.uniform([amp, -amp]), ai.NoiseModel(sigma2)).bits
+    direct = ai.mi_awgn(ai.PointSet1D.uniform([amp, -amp]), ai.NoiseModel(sigma2)).bits
     assert direct == pytest.approx(ai.mi_bpsk(gamma), abs=1e-9)
 
 
@@ -318,7 +324,7 @@ def test_curves_are_monotone_and_bounded_on_the_grid():
 @settings(max_examples=25, deadline=None)
 def test_mi_is_between_zero_and_log_alphabet_size(points, sigma2):
     alphabet = ai.PointSet1D.uniform(points)
-    r = ai.mi_awgn_1d(alphabet, ai.NoiseModel(sigma2))
+    r = ai.mi_awgn(alphabet, ai.NoiseModel(sigma2))
     assert 0.0 <= r.bits <= np.log2(alphabet.size) + 1e-9
 
 
@@ -373,7 +379,7 @@ def _clipped(bits, k):
 @pytest.mark.parametrize("seed", range(16))
 def test_1d_quadrature_matches_reference(seed):
     points, probs, sigma2 = _random_alphabet(seed, 1)
-    got = ai.mi_awgn_1d(ai.PointSet1D(points, probs), ai.NoiseModel(sigma2)).bits
+    got = ai.mi_awgn(ai.PointSet1D(points, probs), ai.NoiseModel(sigma2)).bits
     want = _clipped(_ref_mi_quadrature(points, probs, sigma2, ai.DEFAULT_QUAD_ORDER), points.size)
     assert abs(got - want) < 1e-12
 
@@ -383,7 +389,7 @@ def test_1d_quadrature_matches_reference(seed):
 def test_2d_quadrature_matches_reference(seed):
     points, probs, sigma2 = _random_alphabet(seed, 2)
     order = 32 + 32 * (seed % 4)
-    got = ai.mi_awgn_2d(ai.PointSet2D(points, probs), ai.NoiseModel(sigma2), order).bits
+    got = ai.mi_awgn(ai.PointSet2D(points, probs), ai.NoiseModel(sigma2), order).bits
     want = _clipped(_ref_mi_quadrature(points, probs, sigma2, order), len(points))
     assert abs(got - want) < 1e-12
 
@@ -458,10 +464,10 @@ def test_2d_quadrature_working_set_stays_at_k_n_n():
     # one (K, K, N, N) temporary alone would take 34 MB at K = 16, N = 128
     alphabet = ai.PointSet2D.uniform(np.random.default_rng(1).normal(size=(16, 2)))
     noise = ai.NoiseModel(1.0)
-    ai.mi_awgn_2d(alphabet, noise, 128)  # fill the node cache first
+    ai.mi_awgn(alphabet, noise, 128)  # fill the node cache first
     tracemalloc.start()
     try:
-        ai.mi_awgn_2d(alphabet, noise, 128)
+        ai.mi_awgn(alphabet, noise, 128)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -112,6 +112,28 @@ def test_curves_manifest_records_true_hashes(tmp_path):
     assert m.group(1) == want
 
 
+@pytest.mark.parametrize("gamma_max", ["1e301", "inf", "nan"])
+def test_curves_refuses_an_snr_past_the_ceiling(tmp_path, gamma_max):
+    out = run_cli("curves", "--points", "2", "--gamma-max", gamma_max, cwd=tmp_path)
+    assert out.returncode == 2, out.stderr
+    assert "gamma_max must be at most 1e+300" in out.stderr
+    assert not (tmp_path / "curves.csv").exists()
+
+
+def test_curves_at_the_snr_ceiling_are_exact(tmp_path):
+    out = run_cli("curves", "--gamma-min", "1e299", "--gamma-max", "1e300", "--points", "2",
+                  cwd=tmp_path)
+    assert out.returncode == 0, out.stderr
+    assert out.stderr == ""
+    header, *rows = (tmp_path / "curves.csv").read_text().splitlines()
+    assert len(rows) == 2
+    for row in rows:
+        rec = dict(zip(header.split(","), map(float, row.split(","))))
+        for col, bits in (("i_bpsk", 1.0), ("i_v2_exact", 1.0), ("i_qpsk", 2.0),
+                          ("sum_exact", 2.0)):
+            assert abs(rec[col] - bits) < 1e-12, col
+
+
 def test_curves_config_file_merging(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# grid size\npoints = 5\ngamma-min = 0.5\n")
@@ -132,8 +154,8 @@ def test_curves_config_file_merging(tmp_path):
 @pytest.mark.parametrize(
     "command,line",
     [("curves", "metric = dB"), ("curves", "points = abc"), ("curves", "spacing = cubic"),
-     ("curves", "svg = maybe"), ("verify", "mc_tol = -1")],
-    ids=["unknown-key", "bad-int", "bad-choice", "bad-bool", "negative-mc-tol"],
+     ("curves", "svg = maybe"), ("verify", "mc_tol = -1"), ("verify", "gap_threshold = 0")],
+    ids=["unknown-key", "bad-int", "bad-choice", "bad-bool", "negative-mc-tol", "zero-gap"],
 )
 def test_bad_config_line_is_a_usage_error(tmp_path, command, line):
     cfg = tmp_path / "bad.cfg"
@@ -399,13 +421,33 @@ def test_verify_unattainable_tolerance_fails_loudly(tmp_path):
 @pytest.mark.parametrize(
     "flag,value",
     [("--mc-tol", "-1"), ("--mc-tol", "nan"), ("--grid-points", "0"), ("--trials", "0"),
-     ("--mc-samples", "0")],
+     ("--mc-samples", "0"), ("--gap-threshold", "0"), ("--gap-threshold", "-1"),
+     ("--gap-threshold", "nan"), ("--gap-threshold", "inf")],
 )
 def test_verify_refuses_meaningless_values_at_parse_time(tmp_path, flag, value):
     out = run_cli("verify", f"{flag}={value}", cwd=tmp_path)
     assert out.returncode == 2
     assert flag in out.stderr
     assert not (tmp_path / "verify.txt").exists()
+
+
+def test_verify_gap_threshold_above_the_peak_is_the_searchs_error(tmp_path, capsys):
+    from ocbsim import cli
+
+    argv = ["verify", "--grid-points", "2", "--mc-samples", "10000", "--trials", "10",
+            "--mc-tol", "0.05", "--gap-threshold", "0.5", "--out", str(tmp_path)]
+    assert cli.main(argv) == 2
+    assert "gap never exceeds threshold 0.5" in capsys.readouterr().err
+    assert not (tmp_path / "verify.txt").exists()
+
+
+@pytest.mark.parametrize("command", ["curves", "simulate", "verify"])
+def test_negative_seed_is_refused_at_parse_time(command):
+    from ocbsim.cli import build_parser
+
+    with pytest.raises(SystemExit):
+        build_parser().parse_args([command, "--seed", "-1"])
+    assert build_parser().parse_args([command, "--seed", "0"]).seed == 0
 
 
 def test_verify_mc_samples_floor_is_the_estimators():

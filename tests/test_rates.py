@@ -121,6 +121,9 @@ def test_gamma_grid_single_point():
         dict(gamma_min=2.0, gamma_max=1.0),
         dict(gamma_min=1.0, gamma_max=2.0, points=1),
         dict(spacing="cubic"),
+        dict(gamma_max=1e301),
+        dict(gamma_max=float("inf")),
+        dict(gamma_max=float("nan")),
     ],
 )
 def test_sweep_spec_validation(kwargs):
