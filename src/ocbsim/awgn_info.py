@@ -9,21 +9,17 @@ Conventions used throughout the package:
 An alphabet is one ``PointSet``: K points as a (K, D) array, D = 1 (real
 amplitudes) or D = 2 (planar points), with their prior probabilities.
 
-Two backends are provided: Gauss-Hermite quadrature (deterministic, the
-default) and a seeded Monte Carlo estimator used for cross-validation.
-
-Both build the same exponent table, ln pi_l - |y - s_l|^2 / 2 sigma2 with the
-alphabet axis l first, as the sum of one per-coordinate table per real
-dimension. The quadrature, ``mi_awgn``, is one kernel for D = 1 and D = 2:
-per component k it evaluates that table at the noise nodes n over the
-offsets s_l - s_k, on the tensor node grid (N,) or (N, N), reduces it over
-the points by one max-shifted log-sum-exp in place, and contracts it with
-the weights once per dimension. Its working set is O(K N^D) for an order-N
-rule, never the (K, K, N, N) joint grid, and working from offsets keeps the
-noise exact next to any amplitude up to the SNR ceiling GAMMA_MAX. The
-Monte Carlo estimator exponentiates the max-shifted (K, m) table of a chunk
-of m samples once and takes each sample's information density as a ratio
-of its column sums, so one estimator serves any grouping of the points.
+The Gauss-Hermite quadrature, ``mi_awgn`` (deterministic, the default), is
+one kernel for D = 1 and D = 2. It works from the point offsets s_l - s_k,
+so the noise stays exact next to any amplitude up to the SNR ceiling
+GAMMA_MAX, and from the split of the Gaussian exponent by dimension: one
+exponentiated (K, K, N) factor table per dimension, contracted over the
+points by one batched product for all K components, so its working set is
+O(K N^2). The seeded Monte Carlo estimator, used for cross-validation,
+exponentiates the max-shifted (K, m) exponent table of m samples once and
+takes each sample's information density as the ratio of its in-group and
+total column sums, so one estimator serves any grouping of the points.
+Both backends leave points of zero prior out.
 """
 
 from __future__ import annotations
@@ -40,6 +36,7 @@ __all__ = [
     "MAX_QUAD_ORDER",
     "MIN_MC_SAMPLES",
     "GAMMA_MAX",
+    "check_gamma",
     "NoiseModel",
     "PointSet",
     "PointSet1D",
@@ -138,9 +135,6 @@ class PointSet:
     def dims(self) -> int:
         return self.points.shape[1]
 
-    def degenerate(self) -> bool:
-        return bool(np.all(self.points == self.points[0]))
-
 
 PointSet1D = PointSet2D = PointSet
 
@@ -172,18 +166,6 @@ def _gh_nodes(order: int):
     return hermgauss(order)
 
 
-def _logsumexp0(expo: np.ndarray) -> np.ndarray:
-    """ln sum_l exp(expo[l]) over the leading alphabet axis; overwrites ``expo``.
-
-    The per-position maximum is finite because some point has a nonzero
-    prior, so the shift keeps exp() in range.
-    """
-    peak = expo.max(axis=0)
-    expo -= peak
-    np.exp(expo, out=expo)
-    return np.log(expo.sum(axis=0)) + peak
-
-
 def _log_terms(y, coords: np.ndarray, sigma2: float, log_probs=None) -> np.ndarray:
     """-(y - c_l)^2 / (2 sigma2) [+ ln pi_l], alphabet axis l first."""
     expand = (-1,) + (1,) * np.ndim(y)
@@ -196,21 +178,11 @@ def _log_terms(y, coords: np.ndarray, sigma2: float, log_probs=None) -> np.ndarr
 
 
 def _log_joint(coords, points: np.ndarray, probs: np.ndarray, sigma2: float) -> np.ndarray:
-    """ln pi_l - |y - s_l|^2 / (2 sigma2), alphabet axis l first.
-
-    ``coords`` holds one array per real dimension of y; they broadcast
-    together, so the per-dimension tables are summed out of place.
-    """
+    """ln pi_l - |y - s_l|^2 / (2 sigma2), alphabet axis l first; one array of y per dimension."""
     expo = _log_terms(coords[0], points[:, 0], sigma2, np.log(probs))
     for y, c in zip(coords[1:], points.T[1:]):
-        expo = expo + _log_terms(y, c, sigma2)
+        expo += _log_terms(y, c, sigma2)
     return expo
-
-
-def _log_mixture(coords, points: np.ndarray, probs: np.ndarray, sigma2: float) -> np.ndarray:
-    """ln p(y) for the Gaussian-mixture output density of a (K, D) alphabet."""
-    expo = _log_joint(coords, points, probs, sigma2)
-    return _logsumexp0(expo) - 0.5 * len(coords) * np.log(2.0 * np.pi * sigma2)
 
 
 def _clip_bits(bits: float, size: int) -> float:
@@ -218,7 +190,7 @@ def _clip_bits(bits: float, size: int) -> float:
     top = float(np.log2(size))
     if not -_CLIP_TOL <= bits <= top + _CLIP_TOL:
         raise ValueError(
-            f"quadrature gave {bits!r} bits, outside [0, {top:g}] by more than {_CLIP_TOL:g}"
+            f"quadrature gave {float(bits)} bits, outside [0, {top:g}] by more than {_CLIP_TOL:g}"
         )
     return float(min(max(bits, 0.0), top))
 
@@ -226,27 +198,44 @@ def _clip_bits(bits: float, size: int) -> float:
 def mi_awgn(alphabet: PointSet, noise: NoiseModel, order: int = DEFAULT_QUAD_ORDER) -> MiResult:
     """I(X;Y) for Y = X + N over a D = 1 or D = 2 alphabet, by Gauss-Hermite quadrature.
 
-    H(Y) = -sum_k pi_k E_n[log2 p(s_k + n)], one tensor-product rule of N^D
-    nodes per component k; I = H(Y) - D H(N). The mixture at s_k + n is
-    evaluated as the mixture over the offsets s_l - s_k at n, so the noise
-    keeps full precision next to any amplitude. Peak memory is a few
-    (K, N^D) float64 arrays, each 2 MB at K = 16, N = 128, D = 2.
+    H(Y) = -sum_k pi_k E_n[log2 p(s_k + n)] on a tensor rule of N^D nodes,
+    and I = H(Y) - D H(N); points of zero prior are left out. The mixture at
+    s_k + (n_i, n_j) is sum_l pi_l A[k, l, i] B[k, l, j] times exp(shifts),
+    with A and B each dimension's factor table over the offsets s_l - s_k,
+    so one (K, N, K) @ (K, K, N) product gives it for every k; one log and
+    the shifts added back follow. For D = 1, B is a column of ones. Peak
+    memory is the (K, N, N) product, 2 MB at K = 16, N = 128.
+
+    Where the two factors peak at different points, a product can underflow.
+    Its own term l = k keeps it at least pi_k exp(-x_i^2 - x_j^2), x being
+    the standard nodes, so it underflows only where x_i^2 + x_j^2 > 708 +
+    ln(1/pi_k), and is clamped there at the smallest normal float. Those
+    nodes weigh w_i w_j < exp(-708) (w exp(x^2) < 1 at every order), so the
+    clamp moves H(Y) by less than 1e-300 bits.
     """
-    if alphabet.degenerate():
+    keep = alphabet.probs > 0.0
+    points, probs = alphabet.points[keep], alphabet.probs[keep]
+    if np.all(points == points[0]):
         return MiResult(0.0, "quadrature")
     x, w = _gh_nodes(order)
     n = np.sqrt(2.0 * noise.sigma2) * x
-    dims = alphabet.dims
-    grid = (n,) if dims == 1 else (n[:, None], n[None, :])
-    acc = 0.0
-    for s_k, p_k in zip(alphabet.points, alphabet.probs):
-        lnp = _log_mixture(grid, alphabet.points - s_k, alphabet.probs, noise.sigma2)
-        for _ in range(dims):
-            lnp = lnp @ w
-        acc += p_k * float(lnp)
-    h_y = -acc / np.pi ** (0.5 * dims) / LN2
+    k, dims = points.shape
+    factors = []  # per dimension: the (K, K, N) table, its (K, 1, N) shift, the weights
+    for c in points.T:
+        expo = _log_terms(n, (c - c[:, None]).reshape(-1), noise.sigma2).reshape(k, k, -1)
+        shift = expo.max(axis=1, keepdims=True)
+        factors.append((np.exp(np.subtract(expo, shift, out=expo), out=expo), shift, w))
+    factors += [(np.ones((k, k, 1)), np.zeros((k, 1, 1)), np.ones(1))] * (2 - dims)
+    (a, shift_a, w_a), (b, shift_b, w_b) = factors
+    a *= probs[:, None]  # the prior, along the point axis l
+    mix = np.matmul(a.transpose(0, 2, 1), b)
+    lnp = np.log(np.maximum(mix, np.finfo(float).tiny, out=mix), out=mix)
+    lnp += shift_a.transpose(0, 2, 1)
+    lnp += shift_b - 0.5 * dims * np.log(2.0 * np.pi * noise.sigma2)
+    lnp = lnp @ w_b @ w_a
+    h_y = -float(probs @ lnp) / np.pi ** (0.5 * dims) / LN2
     bits = h_y - dims * noise_entropy(noise)
-    return MiResult(_clip_bits(bits, alphabet.size), "quadrature")
+    return MiResult(_clip_bits(bits, k), "quadrature")
 
 
 # the benchmark's replay still calls the two names the kernel had per dimension
@@ -290,12 +279,12 @@ def mi_monte_carlo_grouped(alphabet: PointSet, groups, noise: NoiseModel, sample
 
     Direct estimator E[log2 p(y|g) - log2 p(y)] for a D = 1 or D = 2
     alphabet; used to cross-check the chain-rule split of a layered labeling
-    against quadrature. Each chunk of m samples draws the point indices,
-    then one normal(m) per dimension in order. Its (K, m) exponent table
-    ln pi_l - |y_i - s_l|^2 / (2 sigma2) is shifted by its column maximum
-    and exponentiated in place once, giving E; with ``member`` the (G, K)
-    group-indicator matrix, the density of sample i in group g is
-        ln((member @ E)[g, i] / sum_l E[l, i]) - ln pi_g,
+    against quadrature. Points of zero prior are left out. Each chunk of m
+    samples draws the points from one uniform(m), as ``Generator.choice``
+    with ``p`` does, then one normal(m) per dimension. Its (K, m) exponent
+    table ln pi_l - |y_i - s_l|^2 / (2 sigma2), shifted by its column
+    maximum and exponentiated in place, is E; for sample i in group g,
+        ln(sum_{l in g} E[l, i] / sum_l E[l, i]) - ln pi_g,
     since the shift and the Gaussian normalisation cancel in the ratio. A
     degenerate alphabet yields exactly 0 +/- 0.
     """
@@ -304,9 +293,12 @@ def mi_monte_carlo_grouped(alphabet: PointSet, groups, noise: NoiseModel, sample
     groups = np.asarray(groups, dtype=int).reshape(-1)
     if groups.shape[0] != alphabet.size:
         raise ValueError("groups must label every alphabet point")
-    labels, group_of = np.unique(groups, return_inverse=True)
-    member = (group_of == np.arange(labels.size)[:, None]).astype(float)
-    ln_pg = np.log(member @ alphabet.probs)
+    keep = alphabet.probs > 0.0
+    points, probs = alphabet.points[keep], alphabet.probs[keep]
+    _, group_of = np.unique(groups[keep], return_inverse=True)
+    ln_pg = np.log(np.bincount(group_of, probs))
+    cdf = np.cumsum(probs)
+    cdf /= cdf[-1]
     rng = np.random.default_rng(seed)
     sigma = noise.sigma
 
@@ -314,14 +306,15 @@ def mi_monte_carlo_grouped(alphabet: PointSet, groups, noise: NoiseModel, sample
         left = samples
         while left > 0:
             m = min(left, _MC_CHUNK)
-            k = rng.choice(alphabet.size, size=m, p=alphabet.probs)
-            ys = [c[k] + rng.normal(0.0, sigma, m) for c in alphabet.points.T]
-            expo = _log_joint(ys, alphabet.points, alphabet.probs, noise.sigma2)
+            k = np.searchsorted(cdf, rng.random(m), side="right")
+            ys = [c[k] + rng.normal(0.0, sigma, m) for c in points.T]
+            expo = _log_joint(ys, points, probs, noise.sigma2)
             expo -= expo.max(axis=0)
             np.exp(expo, out=expo)
+            total = expo.sum(axis=0)
             g = group_of[k]
-            ratio = (member @ expo)[g, np.arange(m)] / expo.sum(axis=0)
-            yield (np.log(ratio) - ln_pg[g]) / LN2
+            expo *= group_of[:, None] == g
+            yield (np.log(expo.sum(axis=0) / total) - ln_pg[g]) / LN2
             left -= m
 
     mean, stderr, _ = _mc_sample_stats(chunks())
@@ -337,6 +330,12 @@ def gaussian_capacity(snr: float, dims: str = "real") -> float:
     if dims == "complex":
         return float(np.log2(1.0 + snr))
     raise ValueError(f"dims must be 'real' or 'complex', got {dims!r}")
+
+
+def check_gamma(gamma: float) -> None:
+    """Refuse a symbol SNR outside [0, GAMMA_MAX]: negative, NaN, inf or past the ceiling."""
+    if not 0.0 <= gamma <= GAMMA_MAX:
+        raise ValueError(f"gamma must be in [0, {GAMMA_MAX:g}], got {gamma}")
 
 
 def _bpsk_points(gamma: float) -> PointSet:
@@ -357,15 +356,13 @@ def _ocb_points(alpha: float) -> PointSet:
 
 def mi_bpsk(gamma: float, order: int = DEFAULT_QUAD_ORDER) -> float:
     """BPSK mutual information as a function of gamma = E_s / sigma2 alone."""
-    if gamma < 0.0:
-        raise ValueError(f"gamma must be nonnegative, got {gamma}")
+    check_gamma(gamma)
     return mi_awgn(_bpsk_points(gamma), NoiseModel(1.0), order).bits
 
 
 def mi_qpsk(gamma: float, order: int = DEFAULT_QUAD_ORDER) -> float:
     """QPSK mutual information as a function of gamma = E_s / sigma2 alone."""
-    if gamma < 0.0:
-        raise ValueError(f"gamma must be nonnegative, got {gamma}")
+    check_gamma(gamma)
     return mi_awgn(_qpsk_points(gamma), NoiseModel(1.0), order).bits
 
 
@@ -377,11 +374,14 @@ def stream_mi_ocb(alpha: float, noise: NoiseModel, order: int = DEFAULT_QUAD_ORD
     one-dimensional BPSK of energy 2*alpha^2, so
         I(V2;Y|V1) = mi_bpsk(2 alpha^2 / sigma2)
     exactly, and I(V1;Y) is the remainder of the joint four-point rate.
+    Both 2 alpha^2 and gamma must be at most GAMMA_MAX, checked on alpha.
     """
-    if not alpha > 0.0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    if not 0.0 < alpha <= np.sqrt(0.5 * GAMMA_MAX * min(1.0, noise.sigma2)):
+        raise ValueError(f"alpha must be positive with 2 alpha^2 and 2 alpha^2 / sigma2 "
+                         f"at most {GAMMA_MAX:g}, got {alpha}")
     gamma = 2.0 * alpha * alpha / noise.sigma2
     i_joint = mi_awgn(_ocb_points(alpha), noise, order).bits
-    i_v2_given_v1 = mi_bpsk(gamma, order)
+    # not mi_bpsk: at alpha = sqrt(GAMMA_MAX / 2), gamma rounds one unit past the ceiling
+    i_v2_given_v1 = mi_awgn(_bpsk_points(gamma), NoiseModel(1.0), order).bits
     i_v1 = max(i_joint - i_v2_given_v1, 0.0)
     return i_v1, i_v2_given_v1

@@ -22,6 +22,7 @@ from .awgn_info import (
     DEFAULT_QUAD_ORDER,
     GAMMA_MAX,
     NoiseModel,
+    check_gamma,
     gaussian_capacity,
     mi_bpsk,
     mi_qpsk,
@@ -115,8 +116,7 @@ def rate_ocb_claimed(gamma: float, order: int = DEFAULT_QUAD_ORDER) -> float:
 
 def rate_ocb_exact(gamma: float, order: int = DEFAULT_QUAD_ORDER) -> tuple[float, float, float]:
     """Exact chain-rule stream rates (i_v1, i_v2, total) at symbol SNR gamma."""
-    if gamma < 0.0:
-        raise ValueError(f"gamma must be nonnegative, got {gamma}")
+    check_gamma(gamma)
     if gamma == 0.0:
         return 0.0, 0.0, 0.0
     alpha = np.sqrt(gamma / 2.0)  # sigma2 = 1, so 2 alpha^2 / sigma2 = gamma

@@ -267,6 +267,33 @@ def test_modulation_curves_reject_negative_snr():
         ai.mi_qpsk(-0.5)
 
 
+@pytest.mark.parametrize("gamma", [1e308, np.inf, np.nan])
+@pytest.mark.parametrize("curve", [
+    ai.mi_bpsk,
+    ai.mi_qpsk,
+    lambda g: ai.stream_mi_ocb(np.sqrt(g / 2.0), ai.NoiseModel(1.0)),
+], ids=["bpsk", "qpsk", "stream_split"])
+def test_named_curves_refuse_an_snr_past_the_ceiling(curve, gamma):
+    # refused at the entry point, naming the ceiling, before any quadrature
+    with pytest.raises(ValueError, match="at most 1e\\+300|\\[0, 1e\\+300\\]"):
+        curve(gamma)
+
+
+@pytest.mark.parametrize("alpha,sigma2", [(1e154, 1e10), (1.0, 1e-301)])
+def test_stream_split_refuses_an_energy_or_snr_past_the_ceiling(alpha, sigma2):
+    # 2 alpha^2 = 2e308 with gamma = 2e298; 2 alpha^2 = 2 with gamma = 2e301
+    with pytest.raises(ValueError, match="at most 1e\\+300"):
+        ai.stream_mi_ocb(alpha, ai.NoiseModel(sigma2))
+
+
+def test_named_curves_at_the_snr_ceiling():
+    assert abs(ai.mi_bpsk(ai.GAMMA_MAX) - 1.0) < 1e-12
+    assert abs(ai.mi_qpsk(ai.GAMMA_MAX) - 2.0) < 1e-12
+    # alpha = sqrt(GAMMA_MAX / 2), whose 2 alpha^2 rounds one unit past the ceiling
+    i_v1, i_v2 = ai.stream_mi_ocb(np.sqrt(ai.GAMMA_MAX / 2.0), ai.NoiseModel(1.0))
+    assert abs(i_v1 - 1.0) < 1e-12 and abs(i_v2 - 1.0) < 1e-12
+
+
 @pytest.mark.parametrize("sigma2", [0.25, 1.0, 4.0])
 def test_bpsk_curve_is_scale_invariant(sigma2):
     # same gamma from different (energy, noise) pairs, same value
@@ -394,6 +421,44 @@ def test_2d_quadrature_matches_reference(seed):
     assert abs(got - want) < 1e-12
 
 
+@pytest.mark.parametrize("c", [30.0, 37.6, 45.0])
+def test_2d_quadrature_where_the_underflow_clamp_engages(c):
+    # At order 370 the two factors of thousands of node pairs peak at different
+    # points, so their product underflows and is clamped before the log.
+    points = np.array([(0.0, 0.0), (c, -c), (-c, c)])
+    probs = np.full(3, 1.0 / 3.0)
+    got = ai.mi_awgn(ai.PointSet2D(points, probs), ai.NoiseModel(1.0), ai.MAX_QUAD_ORDER).bits
+    want = _clipped(_ref_mi_quadrature(points, probs, 1.0, ai.MAX_QUAD_ORDER), 3)
+    assert abs(got - want) < 1e-12
+
+
+@pytest.mark.parametrize("points,groups", [
+    ([1.5, -0.5, 0.25, 3.0], [0, 1, 1, 2]),
+    ([(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)], [0, 1, 0, 1]),
+], ids=["1d", "2d"])
+def test_zero_prior_points_are_left_out(points, groups):
+    # no filterwarnings marker: the point's ln 0 must never be taken
+    points, groups = np.array(points), np.array(groups)
+    probs = np.array([0.3, 0.0, 0.5, 0.2])
+    keep = probs > 0.0
+    full, reduced = ai.PointSet(points, probs), ai.PointSet(points[keep], probs[keep])
+    noise = ai.NoiseModel(0.8)
+    assert abs(ai.mi_awgn(full, noise).bits - ai.mi_awgn(reduced, noise).bits) < 1e-12
+    assert ai.mi_monte_carlo(full, noise, 20_000, 3) == ai.mi_monte_carlo(reduced, noise, 20_000, 3)
+    assert (ai.mi_monte_carlo_grouped(full, groups, noise, 20_000, 4)
+            == ai.mi_monte_carlo_grouped(reduced, groups[keep], noise, 20_000, 4))
+
+
+@pytest.mark.parametrize("points", [
+    [(INV2, INV2), (INV2, -INV2), (-INV2, INV2), (-INV2, -INV2)],
+    [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)],
+], ids=["qpsk", "rotated"])
+def test_2d_quadrature_at_the_snr_ceiling_on_the_largest_rule(points):
+    alphabet = ai.PointSet.uniform(np.sqrt(ai.GAMMA_MAX) * np.array(points))
+    r = ai.mi_awgn(alphabet, ai.NoiseModel(1.0), ai.MAX_QUAD_ORDER)
+    assert abs(r.bits - 2.0) < 1e-12
+
+
 def _ref_two_pass(values):
     values = np.concatenate(values)
     dev = values - values.mean()
@@ -481,3 +546,10 @@ def test_clip_bits_absorbs_rounding_and_refuses_larger_excursions():
     for bad in (-1e-6, 2.0 + 1e-6, float("nan")):
         with pytest.raises(ValueError):
             ai._clip_bits(bad, 4)
+
+
+def test_clip_bits_names_a_plain_number():
+    with pytest.raises(ValueError) as err:
+        ai._clip_bits(np.float64(2.5), 4)
+    assert "np.float64" not in str(err.value)
+    assert "gave 2.5 bits" in str(err.value)

@@ -42,6 +42,22 @@ def test_exact_accounting_at_zero_and_negative_snr():
         rates.rate_ocb_exact(-1.0)
 
 
+@pytest.mark.parametrize("gamma", [1e308, np.inf, np.nan])
+@pytest.mark.parametrize("entry", [
+    rates.rate_row,
+    rates.rate_ocb_exact,
+    lambda g: rates.check_superposition_inequality(g, 1.0, 1.0),
+], ids=["rate_row", "rate_ocb_exact", "superposition"])
+def test_rate_entry_points_refuse_an_snr_past_the_ceiling(entry, gamma):
+    with pytest.raises(ValueError, match="1e\\+300"):
+        entry(gamma)
+
+
+def test_exact_accounting_at_the_snr_ceiling():
+    i_v1, i_v2, total = rates.rate_ocb_exact(rates.GAMMA_MAX)
+    assert abs(i_v1 - 1.0) < 1e-12 and abs(i_v2 - 1.0) < 1e-12 and abs(total - 2.0) < 1e-12
+
+
 @pytest.mark.parametrize("gamma", np.geomspace(0.02, 80.0, 15).tolist())
 def test_exact_total_is_the_qpsk_rate(gamma):
     _, _, total = rates.rate_ocb_exact(gamma)
