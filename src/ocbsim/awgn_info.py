@@ -10,12 +10,12 @@ An alphabet is one ``PointSet``: K points as a (K, D) array, D = 1 (real
 amplitudes) or D = 2 (planar points), with their prior probabilities.
 
 The Gauss-Hermite quadrature, ``mi_awgn`` (deterministic, the default), is
-one kernel for D = 1 and D = 2. It works from the point offsets s_l - s_k,
-so the noise stays exact next to any amplitude up to the SNR ceiling
-GAMMA_MAX, and from the split of the Gaussian exponent by dimension: one
-exponentiated (K, K, N) factor table per dimension, contracted over the
-points by one batched product for all K components, so its working set is
-O(K N^2). The seeded Monte Carlo estimator, used for cross-validation,
+one kernel for D = 1 and D = 2. It works in noise units, so any noise
+variance is safe; from the point offsets s_l - s_k, so the noise stays exact
+next to any amplitude up to the SNR ceiling GAMMA_MAX; and from the split
+of the Gaussian exponent by dimension: one exponentiated (K, K, N) factor
+table per dimension, contracted over the points by one batched product for
+all K components, so its working set is O(K N^2). The seeded Monte Carlo estimator, used for cross-validation,
 exponentiates the max-shifted (K, m) exponent table of m samples once and
 takes each sample's information density as the ratio of its in-group and
 total column sums, so one estimator serves any grouping of the points.
@@ -198,31 +198,35 @@ def _clip_bits(bits: float, size: int) -> float:
 def mi_awgn(alphabet: PointSet, noise: NoiseModel, order: int = DEFAULT_QUAD_ORDER) -> MiResult:
     """I(X;Y) for Y = X + N over a D = 1 or D = 2 alphabet, by Gauss-Hermite quadrature.
 
-    H(Y) = -sum_k pi_k E_n[log2 p(s_k + n)] on a tensor rule of N^D nodes,
-    and I = H(Y) - D H(N); points of zero prior are left out. The mixture at
-    s_k + (n_i, n_j) is sum_l pi_l A[k, l, i] B[k, l, j] times exp(shifts),
-    with A and B each dimension's factor table over the offsets s_l - s_k,
-    so one (K, N, K) @ (K, K, N) product gives it for every k; one log and
-    the shifts added back follow. For D = 1, B is a column of ones. Peak
-    memory is the (K, N, N) product, 2 MB at K = 16, N = 128.
+    It works in noise units: the points are divided once by sqrt(2 sigma2),
+    so the noise has variance 1/2 per dimension and the rule's bare nodes
+    x_i are its samples, at any sigma2 a NoiseModel takes. With the mixture
+    m(u) = sum_l pi_l exp(-|u - s_l|^2) in those units,
+        I = -(sum_k pi_k E_x[ln m(s_k + x)] + D/2) / ln 2,
+    on a tensor rule of N^D nodes; points of zero prior are left out. The
+    mixture at s_k + (x_i, x_j) is sum_l pi_l A[k, l, i] B[k, l, j] times
+    exp(shifts), with A and B each dimension's factor table over the offsets
+    s_l - s_k, so one (K, N, K) @ (K, K, N) product gives it for every k; one
+    log and the shifts added back follow. For D = 1, B is a column of ones.
+    Peak memory is the (K, N, N) product, 2 MB at K = 16, N = 128.
 
     Where the two factors peak at different points, a product can underflow.
-    Its own term l = k keeps it at least pi_k exp(-x_i^2 - x_j^2), x being
-    the standard nodes, so it underflows only where x_i^2 + x_j^2 > 708 +
-    ln(1/pi_k), and is clamped there at the smallest normal float. Those
-    nodes weigh w_i w_j < exp(-708) (w exp(x^2) < 1 at every order), so the
-    clamp moves H(Y) by less than 1e-300 bits.
+    Its own term l = k keeps it at least pi_k exp(-x_i^2 - x_j^2), so it
+    underflows only where x_i^2 + x_j^2 > 708 + ln(1/pi_k), and is clamped
+    there at the smallest normal float. Those nodes weigh w_i w_j < exp(-708)
+    (w exp(x^2) < 1 at every order), so the clamp moves I by less than 1e-300
+    bits.
     """
     keep = alphabet.probs > 0.0
     points, probs = alphabet.points[keep], alphabet.probs[keep]
     if np.all(points == points[0]):
         return MiResult(0.0, "quadrature")
+    points = points / (np.sqrt(2.0) * noise.sigma)  # noise units; 2 sigma2 itself can overflow
     x, w = _gh_nodes(order)
-    n = np.sqrt(2.0 * noise.sigma2) * x
     k, dims = points.shape
     factors = []  # per dimension: the (K, K, N) table, its (K, 1, N) shift, the weights
     for c in points.T:
-        expo = _log_terms(n, (c - c[:, None]).reshape(-1), noise.sigma2).reshape(k, k, -1)
+        expo = _log_terms(x, (c - c[:, None]).reshape(-1), 0.5).reshape(k, k, -1)
         shift = expo.max(axis=1, keepdims=True)
         factors.append((np.exp(np.subtract(expo, shift, out=expo), out=expo), shift, w))
     factors += [(np.ones((k, k, 1)), np.zeros((k, 1, 1)), np.ones(1))] * (2 - dims)
@@ -231,10 +235,9 @@ def mi_awgn(alphabet: PointSet, noise: NoiseModel, order: int = DEFAULT_QUAD_ORD
     mix = np.matmul(a.transpose(0, 2, 1), b)
     lnp = np.log(np.maximum(mix, np.finfo(float).tiny, out=mix), out=mix)
     lnp += shift_a.transpose(0, 2, 1)
-    lnp += shift_b - 0.5 * dims * np.log(2.0 * np.pi * noise.sigma2)
+    lnp += shift_b
     lnp = lnp @ w_b @ w_a
-    h_y = -float(probs @ lnp) / np.pi ** (0.5 * dims) / LN2
-    bits = h_y - dims * noise_entropy(noise)
+    bits = -(float(probs @ lnp) / np.pi ** (0.5 * dims) + 0.5 * dims) / LN2
     return MiResult(_clip_bits(bits, k), "quadrature")
 
 

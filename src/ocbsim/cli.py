@@ -491,7 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_quad_order(p)
     p.add_argument("--gamma-min", dest="gamma_min", type=float, default=None)
     p.add_argument("--gamma-max", dest="gamma_max", type=float, default=None)
-    p.add_argument("--points", type=int, default=None)
+    p.add_argument("--points", type=_positive_int, default=None)
     p.add_argument("--spacing", choices=("log", "linear"), default=None)
     p.add_argument("--svg", nargs="?", const=True, type=_bool_opt, default=None,
                    help="also write curves.svg")
@@ -506,7 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="axis-stream code: builtin name or @generator-file")
     p.add_argument("--code2", default=None,
                    help="sign-stream code: builtin name or @generator-file")
-    p.add_argument("--trials", type=int, default=None, help="frames per SNR point")
+    p.add_argument("--trials", type=_positive_int, default=None, help="frames per SNR point")
     p.add_argument("--stage2-input", dest="stage2_input",
                    choices=linksim.STAGE2_MODES, default=None)
     p.set_defaults(func=cmd_simulate)

@@ -44,6 +44,9 @@ _ML_MAX_K = 16
 _ML_METRIC_ENTRIES = 1 << 16  # frames x codewords per ML correlation chunk
 _BP_DEFAULT_ITERATIONS = 50
 LLR_CLIP = 30.0  # decoders saturate message magnitudes here
+# largest built-in generator, M x K entries: identity8192 (about 290 MB to
+# build); LDPC construction grows as n^3, and ldpc8192 takes seconds
+MAX_GENERATOR_ENTRIES = 1 << 26
 
 
 def gf2_rank(mat: np.ndarray) -> int:
@@ -399,11 +402,21 @@ def from_generator_file(path) -> LinearCode:
 
 
 def builtin_code(name: str) -> LinearCode:
-    """Resolve a code by name: hamming74, repetitionN, identityN, ldpcN."""
+    """Resolve a code by name: hamming74, repetitionN, identityN, ldpcN.
+
+    A name whose N x K generator would hold more than MAX_GENERATOR_ENTRIES
+    entries (K taken as N/2 for ldpcN) is refused before anything is built.
+    """
     name = name.strip().lower()
     if name == "hamming74":
         return hamming74()
-    for prefix, factory in (("repetition", repetition_code), ("identity", identity_code), ("ldpc", ldpc_code)):
+    for prefix, factory, k_of in (("repetition", repetition_code, lambda n: 1),
+                                  ("identity", identity_code, lambda n: n),
+                                  ("ldpc", ldpc_code, lambda n: n // 2)):
         if name.startswith(prefix) and name[len(prefix):].isdigit():
-            return factory(int(name[len(prefix):]))
+            n = int(name[len(prefix):])
+            if n * k_of(n) > MAX_GENERATOR_ENTRIES:
+                raise ValueError(f"code {name!r} needs a generator of {n} x {k_of(n)} entries, "
+                                 f"more than the limit of {MAX_GENERATOR_ENTRIES} (2^26)")
+            return factory(n)
     raise ValueError(f"unknown code name {name!r}")

@@ -10,6 +10,10 @@ information and the sign stream a full BPSK rate at the same symbol SNR
 The exact accounting decomposes the joint four-point rate by the chain rule
 I(V1,V2;Y) = I(V1;Y) + I(V2;Y|V1); its total always equals mi_qpsk(gamma).
 The difference between the two accountings is reported, never asserted away.
+
+The claimed gap over QPSK is unimodal in gamma; find_claim_interval leans
+on that and finds its peak and both threshold crossings by bisection in log
+gamma alone.
 """
 
 from __future__ import annotations
@@ -189,57 +193,50 @@ class ClaimInterval:
     threshold: float
 
 
-def _bisect(f, lo: float, hi: float, iterations: int = 80) -> float:
-    flo = f(lo)
-    for _ in range(iterations):
-        mid = np.sqrt(lo * hi)  # bisect in log-gamma
-        if (f(mid) > 0.0) == (flo > 0.0):
+def _bisect(f, lo: float, hi: float) -> float:
+    """Where f changes sign in [lo, hi], f(lo) giving the left side's sign:
+    bisection in log gamma until no float lies strictly between the ends."""
+    left = f(lo) > 0.0
+    while True:
+        mid = np.sqrt(lo) * np.sqrt(hi)  # the log-gamma midpoint, free of overflow
+        if not lo < mid < hi:
+            mid = lo + (hi - lo) / 2.0  # the ends are a few floats apart
+            if not lo < mid < hi:
+                return float(mid)
+        if (f(mid) > 0.0) == left:
             lo = mid
         else:
             hi = mid
-        if hi / lo < 1.0 + 1e-12:
-            break
-    return float(np.sqrt(lo * hi))
+
 
 def find_claim_interval(
     threshold: float = 0.01,
     gamma_lo: float = 1e-3,
     gamma_hi: float = 1e4,
     order: int = DEFAULT_QUAD_ORDER,
-    scan_points: int = 160,
 ) -> ClaimInterval:
-    """Locate by bisection where claimed_gap crosses the threshold.
+    """Where claimed_gap exceeds ``threshold`` bits, by three bisections in log gamma.
 
-    The gap is positive for every gamma > 0 and vanishes at both extremes,
-    so the raw difference has no sign change; the reported interval is where
-    the gap exceeds ``threshold`` bits, with its endpoints refined by
-    bisection on claimed_gap - threshold and the peak by golden section.
+    The gap must be unimodal on the bracket 0 < gamma_lo < gamma_hi <=
+    GAMMA_MAX. The peak is the root of claimed_gap(gamma r) - claimed_gap(gamma
+    / r), r = 1 + 1e-6, over the whole bracket: the difference is symmetric in
+    log gamma, so its root is the peak to O((r - 1)^2). Each endpoint is the
+    root of claimed_gap - threshold on its own side of the peak, so the bracket
+    must hold both crossings. Below gamma ~ 1e-10 the gap (gamma / 4 ln 2
+    bits) sinks under the quadrature's rounding, so gamma_lo belongs above.
     """
-    grid = np.geomspace(gamma_lo, gamma_hi, scan_points)
-    gaps = np.array([claimed_gap(g, order) for g in grid])
-    above = gaps > threshold
-    if not above.any():
-        raise ValueError(f"gap never exceeds threshold {threshold}")
-    first, last = int(np.argmax(above)), int(len(above) - 1 - np.argmax(above[::-1]))
-    if first == 0 or last == len(grid) - 1:
-        raise ValueError("scan range does not bracket the threshold crossings")
+    if not 0.0 < gamma_lo < gamma_hi <= GAMMA_MAX:
+        raise ValueError(f"need 0 < gamma_lo < gamma_hi <= {GAMMA_MAX:g}, got [{gamma_lo}, {gamma_hi}]")
 
     def excess(g):
         return claimed_gap(g, order) - threshold
 
-    lo = _bisect(excess, grid[first - 1], grid[first])
-    hi = _bisect(excess, grid[last], grid[last + 1])
-
-    # golden-section refinement of the peak around the best scanned point
-    k = int(np.argmax(gaps))
-    a, b = grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)]
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    for _ in range(60):
-        c = b - (b - a) * invphi
-        d = a + (b - a) * invphi
-        if claimed_gap(c, order) < claimed_gap(d, order):
-            a = c
-        else:
-            b = d
-    peak = 0.5 * (a + b)
-    return ClaimInterval(lo, hi, float(peak), claimed_gap(float(peak), order), threshold)
+    r = 1.0 + 1e-6
+    peak = _bisect(lambda g: claimed_gap(g * r, order) - claimed_gap(g / r, order), gamma_lo, gamma_hi)
+    peak_gap = claimed_gap(peak, order)
+    if not peak_gap > threshold:
+        raise ValueError(f"gap never exceeds threshold {threshold}")
+    if excess(gamma_lo) > 0.0 or excess(gamma_hi) > 0.0:
+        raise ValueError("the range does not bracket the crossings")
+    lo, hi = _bisect(excess, gamma_lo, peak), _bisect(excess, peak, gamma_hi)
+    return ClaimInterval(lo, hi, peak, peak_gap, threshold)

@@ -294,6 +294,14 @@ def test_named_curves_at_the_snr_ceiling():
     assert abs(i_v1 - 1.0) < 1e-12 and abs(i_v2 - 1.0) < 1e-12
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("sigma2,bits", [(1e306, 0.0), (1.7e308, 0.0), (1e-300, 1.0)])
+def test_quadrature_at_the_extremes_of_the_noise_variance(sigma2, bits):
+    # the kernel works in noise units, so no sqrt(2 sigma2) node is ever squared
+    r = ai.mi_awgn(ai.PointSet.uniform([1.0, -1.0]), ai.NoiseModel(sigma2))
+    assert abs(r.bits - bits) <= 1e-15
+
+
 @pytest.mark.parametrize("sigma2", [0.25, 1.0, 4.0])
 def test_bpsk_curve_is_scale_invariant(sigma2):
     # same gamma from different (energy, noise) pairs, same value

@@ -49,6 +49,25 @@ def test_threads_below_one_is_a_usage_error(tmp_path, threads):
     assert not (tmp_path / "curves.csv").exists()
 
 
+@pytest.mark.parametrize("argv,flag,artifact", [
+    (("simulate", "--trials", "0", "--code1", "ldpc1024"), "--trials", "sim.csv"),
+    (("curves", "--points", "0"), "--points", "curves.csv"),
+])
+def test_counts_below_one_are_refused_at_parse_time(tmp_path, argv, flag, artifact):
+    out = run_cli(*argv, cwd=tmp_path)
+    assert out.returncode == 2
+    assert flag in out.stderr
+    assert not (tmp_path / artifact).exists()
+
+
+def test_simulate_refuses_an_oversized_builtin_code(tmp_path):
+    out = run_cli("simulate", "--code1", "identity100000", "--code2", "identity100000",
+                  "--trials", "1", cwd=tmp_path)
+    assert out.returncode == 2
+    assert "limit" in out.stderr and "Traceback" not in out.stderr
+    assert not (tmp_path / "sim.csv").exists()
+
+
 def test_simulate_refuses_quad_order(tmp_path):
     out = run_cli("simulate", "--trials", "5", "--quad-order", "64", cwd=tmp_path)
     assert out.returncode == 2

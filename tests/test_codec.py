@@ -2,6 +2,7 @@
 LDPC construction, and matrix-file loading."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -323,6 +324,26 @@ def test_builtin_code_lookup(name, k, m):
 def test_builtin_code_unknown_name():
     with pytest.raises(ValueError):
         codec.builtin_code("turbo9000")
+
+
+@pytest.mark.parametrize("name", ["identity100000", "ldpc16384", "repetition67108865"])
+def test_builtin_code_refuses_an_oversized_generator_before_building_it(name):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="more than the limit of 67108864"):
+            codec.builtin_code(name)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("name,factory,n", [("identity8192", "identity_code", 8192),
+                                            ("ldpc8192", "ldpc_code", 8192)])
+def test_builtin_code_builds_up_to_the_generator_limit(monkeypatch, name, factory, n):
+    # the largest names that fit, resolved without paying for the build
+    monkeypatch.setattr(codec, factory, lambda size: size)
+    assert codec.builtin_code(name) == n
 
 
 # ---------------------------------------------------------------------------

@@ -219,4 +219,40 @@ def test_claim_interval_unreachable_threshold():
 
 def test_claim_interval_requires_a_bracketing_scan():
     with pytest.raises(ValueError):
-        rates.find_claim_interval(threshold=0.01, gamma_lo=1.0, gamma_hi=4.0, scan_points=20)
+        rates.find_claim_interval(threshold=0.01, gamma_lo=1.0, gamma_hi=4.0)
+
+
+def test_peak_search_sign_holds_on_either_side_of_the_peak():
+    # the peak bisection assumes gap(g r) - gap(g / r) > 0 exactly left of the peak
+    r = 1.0 + 1e-6
+    peak = rates.find_claim_interval().gamma_peak
+    for g in np.geomspace(1e-3, 1e4, 1000):
+        rising = rates.claimed_gap(g * r) - rates.claimed_gap(g / r) > 0.0
+        assert rising == (g < peak), g
+
+
+def test_claim_interval_does_not_depend_on_the_bracket():
+    ref = rates.find_claim_interval()
+    for lo, hi in [(1e-2, 1e2), (1e-3, 1e6)]:
+        ci = rates.find_claim_interval(gamma_lo=lo, gamma_hi=hi)
+        assert ci.gamma_lo == pytest.approx(ref.gamma_lo, rel=1e-14, abs=0.0)
+        assert ci.gamma_hi == pytest.approx(ref.gamma_hi, rel=1e-14, abs=0.0)
+        assert ci.gamma_peak == pytest.approx(ref.gamma_peak, rel=1e-8, abs=0.0)
+
+
+def test_claim_interval_search_cost(monkeypatch):
+    calls = []
+    gap = rates.claimed_gap
+    monkeypatch.setattr(rates, "claimed_gap", lambda *a: calls.append(a) or gap(*a))
+    rates.find_claim_interval()
+    assert len(calls) <= 240
+
+
+@pytest.mark.parametrize(
+    "gamma_lo,gamma_hi",
+    [(0.0, 1e4), (-1.0, 1e4), (float("nan"), 1e4), (1e-3, float("nan")), (2.0, 2.0),
+     (4.0, 1.0), (1e-3, 2e300), (1e-3, float("inf"))],
+)
+def test_claim_interval_refuses_a_bad_bracket(gamma_lo, gamma_hi):
+    with pytest.raises(ValueError, match="need 0 < gamma_lo < gamma_hi"):
+        rates.find_claim_interval(gamma_lo=gamma_lo, gamma_hi=gamma_hi)
