@@ -11,14 +11,20 @@ amplitudes) or D = 2 (planar points), with their prior probabilities.
 
 The Gauss-Hermite quadrature, ``mi_awgn`` (deterministic, the default), is
 one kernel for D = 1 and D = 2. It works in noise units, so any noise
-variance is safe; from the point offsets s_l - s_k, so the noise stays exact
-next to any amplitude up to the SNR ceiling GAMMA_MAX; and from the split
-of the Gaussian exponent by dimension: one exponentiated (K, K, N) factor
-table per dimension, contracted over the points by one batched product for
-all K components, so its working set is O(K N^2). The seeded Monte Carlo estimator, used for cross-validation,
-exponentiates the max-shifted (K, m) exponent table of m samples once and
-takes each sample's information density as the ratio of its in-group and
-total column sums, so one estimator serves any grouping of the points.
+variance is safe; from the point offsets s_l - s_k, differenced before they
+are scaled, so the geometry stays exact far from the origin and the noise
+stays exact next to any amplitude up to the SNR ceiling GAMMA_MAX; and from
+the split of the Gaussian exponent by dimension: one exponentiated (K, K, N)
+factor table per dimension, contracted over the points by one batched
+product for all K components, so its working set is O(K N^2).
+
+The seeded Monte Carlo estimator, used for cross-validation, takes each
+sample's information density as the ratio of its in-group and total sums of
+the max-shifted, exponentiated joint terms, so one estimator serves any
+grouping of the points. It does this arithmetic in cache-sized blocks of
+samples, finds each sample's point by counting cdf entries rather than by a
+search, and reduces without BLAS, so its working set is O(m) in the m
+samples of a chunk and its result does not depend on the block size.
 Both backends leave points of zero prior out.
 """
 
@@ -73,6 +79,8 @@ _PROB_TOL = 1e-12
 # quadrature rounding stays near 1e-14 bits; anything past this is an error
 _CLIP_TOL = 1e-9
 _MC_CHUNK = 1_000_000
+# samples per pass of the density arithmetic: its (K, block) tables stay in cache
+_MC_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -198,9 +206,11 @@ def _clip_bits(bits: float, size: int) -> float:
 def mi_awgn(alphabet: PointSet, noise: NoiseModel, order: int = DEFAULT_QUAD_ORDER) -> MiResult:
     """I(X;Y) for Y = X + N over a D = 1 or D = 2 alphabet, by Gauss-Hermite quadrature.
 
-    It works in noise units: the points are divided once by sqrt(2 sigma2),
-    so the noise has variance 1/2 per dimension and the rule's bare nodes
-    x_i are its samples, at any sigma2 a NoiseModel takes. With the mixture
+    It works in noise units: the point offsets s_l - s_k are taken first and
+    then divided by sqrt(2 sigma2), so they round as the plain differences do
+    however far the alphabet sits from the origin, the noise has variance
+    1/2 per dimension, and the rule's bare nodes x_i are its samples, at any
+    sigma2 a NoiseModel takes. With the mixture
     m(u) = sum_l pi_l exp(-|u - s_l|^2) in those units,
         I = -(sum_k pi_k E_x[ln m(s_k + x)] + D/2) / ln 2,
     on a tensor rule of N^D nodes; points of zero prior are left out. The
@@ -221,12 +231,13 @@ def mi_awgn(alphabet: PointSet, noise: NoiseModel, order: int = DEFAULT_QUAD_ORD
     points, probs = alphabet.points[keep], alphabet.probs[keep]
     if np.all(points == points[0]):
         return MiResult(0.0, "quadrature")
-    points = points / (np.sqrt(2.0) * noise.sigma)  # noise units; 2 sigma2 itself can overflow
+    scale = np.sqrt(0.5) * noise.sigma  # sqrt(2 sigma2) / 2; 2 sigma2 itself can overflow
     x, w = _gh_nodes(order)
     k, dims = points.shape
     factors = []  # per dimension: the (K, K, N) table, its (K, 1, N) shift, the weights
-    for c in points.T:
-        expo = _log_terms(x, (c - c[:, None]).reshape(-1), 0.5).reshape(k, k, -1)
+    for c in 0.5 * points.T:  # halved, so no difference overflows
+        offsets = (c - c[:, None]) / scale  # s_l - s_k in noise units
+        expo = _log_terms(x, offsets.reshape(-1), 0.5).reshape(k, k, -1)
         shift = expo.max(axis=1, keepdims=True)
         factors.append((np.exp(np.subtract(expo, shift, out=expo), out=expo), shift, w))
     factors += [(np.ones((k, k, 1)), np.zeros((k, 1, 1)), np.ones(1))] * (2 - dims)
@@ -258,7 +269,7 @@ def _mc_sample_stats(values_iter) -> tuple[float, float, int]:
         n_b = chunk.size
         mean_b = float(chunk.mean())
         dev = chunk - mean_b
-        m2_b = float(dev @ dev)
+        m2_b = float(np.einsum("i,i->", dev, dev))  # not dev @ dev: a BLAS ddot wakes its thread pool
         total = count + n_b
         delta = mean_b - mean
         mean += delta * (n_b / total)
@@ -266,6 +277,11 @@ def _mc_sample_stats(values_iter) -> tuple[float, float, int]:
         count = total
     var = m2 / count
     return mean, float(np.sqrt(var / count)), count
+
+
+def _point_index(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """np.searchsorted(cdf, u, side="right") by counting, for cdf[-1] = 1.0 and u < 1."""
+    return np.sum(cdf[:-1, None] <= u, axis=0)
 
 
 def mi_monte_carlo(alphabet: PointSet, noise: NoiseModel, samples: int, seed: int) -> MiResult:
@@ -283,13 +299,19 @@ def mi_monte_carlo_grouped(alphabet: PointSet, groups, noise: NoiseModel, sample
     Direct estimator E[log2 p(y|g) - log2 p(y)] for a D = 1 or D = 2
     alphabet; used to cross-check the chain-rule split of a layered labeling
     against quadrature. Points of zero prior are left out. Each chunk of m
-    samples draws the points from one uniform(m), as ``Generator.choice``
-    with ``p`` does, then one normal(m) per dimension. Its (K, m) exponent
-    table ln pi_l - |y_i - s_l|^2 / (2 sigma2), shifted by its column
-    maximum and exponentiated in place, is E; for sample i in group g,
+    samples draws one uniform(m) u, then one normal(m) per dimension. Sample
+    i's point is the number of cdf entries at or below u_i, the index
+    ``Generator.choice`` with ``p`` takes (cdf[-1] is 1.0 and u_i < 1). The
+    density is then computed in blocks of _MC_BLOCK samples, so each
+    (K, block) table stays in cache: the exponent table
+    ln pi_l - |y_i - s_l|^2 / (2 sigma2), shifted by its column maximum and
+    exponentiated in place, is E; for sample i in group g,
         ln(sum_{l in g} E[l, i] / sum_l E[l, i]) - ln pi_g,
-    since the shift and the Gaussian normalisation cancel in the ratio. A
-    degenerate alphabet yields exactly 0 +/- 0.
+    since the shift and the Gaussian normalisation cancel in the ratio. Every
+    operation is per sample, so the values do not depend on the block size.
+    Chunks merge by Chan et al.'s update, and no reduction calls BLAS, whose
+    threaded dot product would wake its worker pool. The working set is
+    O(m). A degenerate alphabet yields exactly 0 +/- 0.
     """
     if samples < MIN_MC_SAMPLES:
         raise ValueError(f"samples must be at least {MIN_MC_SAMPLES}, got {samples}")
@@ -309,15 +331,21 @@ def mi_monte_carlo_grouped(alphabet: PointSet, groups, noise: NoiseModel, sample
         left = samples
         while left > 0:
             m = min(left, _MC_CHUNK)
-            k = np.searchsorted(cdf, rng.random(m), side="right")
-            ys = [c[k] + rng.normal(0.0, sigma, m) for c in points.T]
-            expo = _log_joint(ys, points, probs, noise.sigma2)
-            expo -= expo.max(axis=0)
-            np.exp(expo, out=expo)
-            total = expo.sum(axis=0)
-            g = group_of[k]
-            expo *= group_of[:, None] == g
-            yield (np.log(expo.sum(axis=0) / total) - ln_pg[g]) / LN2
+            u = rng.random(m)
+            draws = [rng.normal(0.0, sigma, m) for _ in points.T]
+            values = np.empty(m)
+            for lo in range(0, m, _MC_BLOCK):
+                blk = slice(lo, lo + _MC_BLOCK)
+                k = _point_index(cdf, u[blk])
+                ys = [c[k] + n[blk] for c, n in zip(points.T, draws)]
+                expo = _log_joint(ys, points, probs, noise.sigma2)
+                expo -= expo.max(axis=0)
+                np.exp(expo, out=expo)
+                total = expo.sum(axis=0)
+                g = group_of[k]
+                expo *= group_of[:, None] == g
+                values[blk] = (np.log(expo.sum(axis=0) / total) - ln_pg[g]) / LN2
+            yield values
             left -= m
 
     mean, stderr, _ = _mc_sample_stats(chunks())

@@ -124,7 +124,9 @@ class _SlotLayout:
         rank = np.arange(var.size) - (np.cumsum(var_degrees) - var_degrees)[var[order]]
         var_slots = np.full((max(1, var_degrees.max(initial=0)), parity.shape[1]), slot_var.size - 1)
         var_slots[rank, var[order]] = flat[order]
-        pads = np.unravel_index(np.setdiff1d(np.arange(slot_var.size), flat), shape)
+        is_pad = np.ones(slot_var.size, dtype=bool)
+        is_pad[flat] = False
+        pads = np.unravel_index(np.flatnonzero(is_pad), shape)
         return cls(slot_var, pads, var_slots)
 
     def zero_pads(self, per_slot: np.ndarray) -> np.ndarray:
@@ -375,7 +377,9 @@ def ldpc_code(n: int = 1024, seed: int = 0, var_degree: int = 3, check_degree: i
     h = h[h.any(axis=1)]  # double edges cancel; drop any row left empty
 
     rref, pivots = _gf2_rref(h)
-    free = np.setdiff1d(np.arange(n), pivots)
+    is_free = np.ones(n, dtype=bool)  # not np.setdiff1d, which imports numpy.ma
+    is_free[pivots] = False
+    free = np.flatnonzero(is_free)
     k = free.size
     g = np.zeros((n, k), dtype=np.uint8)
     g[free, np.arange(k)] = 1

@@ -302,6 +302,17 @@ def test_quadrature_at_the_extremes_of_the_noise_variance(sigma2, bits):
     assert abs(r.bits - bits) <= 1e-15
 
 
+@pytest.mark.parametrize("offset", [1e8, 1e12, 1e16])
+@pytest.mark.parametrize("dims", [1, 2])
+def test_quadrature_keeps_the_geometry_of_an_alphabet_far_from_the_origin(offset, dims):
+    # the offsets are differenced before scaling, so {o, o + 2} rounds as {0, 2} does
+    centred, shifted = ([0.0, 2.0], [offset, offset + 2.0]) if dims == 1 else (
+        [(0.0, 0.0), (2.0, 0.0)], [(offset, offset), (offset + 2.0, offset)])
+    noise = ai.NoiseModel(1.0)
+    want = ai.mi_awgn(ai.PointSet.uniform(centred), noise).bits
+    assert abs(ai.mi_awgn(ai.PointSet.uniform(shifted), noise).bits - want) <= 1e-15
+
+
 @pytest.mark.parametrize("sigma2", [0.25, 1.0, 4.0])
 def test_bpsk_curve_is_scale_invariant(sigma2):
     # same gamma from different (energy, noise) pairs, same value
@@ -520,6 +531,50 @@ def test_monte_carlo_matches_reference(seed, dims, grouped, monkeypatch):
     bits, stderr = _ref_monte_carlo(points, probs, groups, sigma2, 20_000, seed, 7_000)
     assert abs(got.bits - bits) < 1e-12
     assert abs(got.stderr - stderr) < 1e-12
+
+
+@pytest.mark.parametrize("points,probs,groups", [
+    ([1.5, -0.5, 0.25, 3.0], [0.1, 0.4, 0.3, 0.2], None),
+    ([(1.0, 0.5), (0.0, 1.0), (-1.2, 0.0), (0.3, -1.0), (2.0, 2.0)], [0.3, 0.1, 0.2, 0.25, 0.15], None),
+    ([(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)], [0.25] * 4, [0, 1, 0, 1]),
+    ([(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)], [0.3, 0.0, 0.5, 0.2], [0, 1, 1, 0]),
+], ids=["1d", "2d", "grouped", "zero-prior"])
+def test_monte_carlo_does_not_depend_on_the_block_size(points, probs, groups, monkeypatch):
+    # chunks of 7,000 merge; blocks of 1 and 7 split every chunk unevenly
+    monkeypatch.setattr(ai, "_MC_CHUNK", 7_000)
+    alphabet = ai.PointSet(np.array(points), np.array(probs))
+    groups = np.arange(alphabet.size) if groups is None else np.array(groups)
+    results = []
+    for block in (1, 7, 8192, 10**9):
+        monkeypatch.setattr(ai, "_MC_BLOCK", block)
+        results.append(ai.mi_monte_carlo_grouped(alphabet, groups, ai.NoiseModel(0.7), 10_000, 8))
+    assert all(r.bits == results[0].bits and r.stderr == results[0].stderr for r in results)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_counted_point_index_is_the_cdf_search(seed):
+    rng = np.random.default_rng(seed)
+    k = 2 + seed * 2
+    probs = rng.dirichlet(np.full(k, 0.5))
+    probs[rng.choice(k, size=k // 2, replace=False)] *= 1e-14  # priors below 1e-12
+    cdf = np.cumsum(probs / probs.sum())
+    cdf /= cdf[-1]
+    u = np.concatenate([rng.random(5000), cdf[:-1], np.nextafter(cdf[:-1], 0.0), [0.0]])
+    u = u[u < 1.0]  # as every uniform draw is
+    assert np.array_equal(ai._point_index(cdf, u), np.searchsorted(cdf, u, side="right"))
+
+
+def test_monte_carlo_working_set_stays_linear_in_the_samples():
+    # the whole-chunk (16, 200000) tables alone took 25.6 MB each
+    alphabet = ai.PointSet.uniform(np.random.default_rng(2).normal(size=(16, 2)))
+    noise = ai.NoiseModel(1.0)
+    tracemalloc.start()
+    try:
+        ai.mi_monte_carlo(alphabet, noise, 200_000, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_mc_sample_stats_survive_a_large_offset():

@@ -507,3 +507,57 @@ def test_verify_searches_the_claim_interval_once(tmp_path, monkeypatch):
     cli.main(argv)
     assert len(calls) == 1
     assert "claimed rate exceeds the QPSK rate" in (tmp_path / "verify.txt").read_text()
+
+
+def test_verify_evaluates_each_subadditivity_rate_once(monkeypatch):
+    from ocbsim import awgn_info, cli, rates
+
+    calls = {"bpsk": [], "qpsk": []}
+    for name, log in calls.items():
+        rate = getattr(awgn_info, f"mi_{name}")
+        monkeypatch.setattr(awgn_info, f"mi_{name}",
+                            lambda g, order, rate=rate, log=log: log.append(g) or rate(g, order))
+    rep = cli._Report()
+    cli._verify_subadditivity(rep, dict(cli._VERIFY_DEFAULTS))
+    # 17 distinct energies: 0, the five grid energies and their pair sums
+    assert [len(set(log)) for log in calls.values()] == [17, 17]
+    assert [len(log) for log in calls.values()] == [17, 17]
+    # the same comparisons as one check_superposition_inequality per pair
+    energies = [0.25, 0.5, 1.0, 2.0, 4.0]
+    strict, eq = [], []
+    for mod in ("bpsk", "qpsk"):
+        for e1 in energies:
+            for e2 in energies:
+                lhs, rhs, _ = rates.check_superposition_inequality(e1, e2, 1.0, mod)
+                strict.append(lhs - rhs)
+            lhs, rhs, _ = rates.check_superposition_inequality(e1, 0.0, 1.0, mod)
+            eq.append(abs(lhs - rhs))
+    ref = cli._Report()
+    ref.check("subadditivity_strict", max(strict), -1e-12, "5x5 energy grid, bpsk and qpsk")
+    ref.check("subadditivity_equality_at_zero", max(eq), 1e-9, "E2 = 0 edge")
+    assert rep.lines == ref.lines
+
+
+BLAS_THREAD_COMMANDS = {
+    "curves": ("curves", "--points", "5", "--svg"),
+    "verify": ("verify", "--grid-points", "3", "--mc-samples", "20000", "--trials", "20"),
+    "simulate": ("simulate", "--code1", "ldpc96", "--code2", "ldpc96", "--sigma2", "0.4",
+                 "--trials", "20"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(BLAS_THREAD_COMMANDS))
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path, command):
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        out.mkdir()
+        done = subprocess.run(
+            [sys.executable, "-m", "ocbsim", *BLAS_THREAD_COMMANDS[command], "--out", str(out)],
+            cwd=tmp_path, capture_output=True, text=True,
+            env={**cli_env(), "OPENBLAS_NUM_THREADS": threads},
+        )
+        assert done.returncode == 0, done.stdout + done.stderr
+        outputs.append(_artifacts(out))
+    assert len(outputs[0]) >= 2
+    assert outputs[0] == outputs[1]
