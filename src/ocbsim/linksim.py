@@ -5,19 +5,22 @@ both streams, map bit pairs to symbols, add AWGN, demap the axis stream,
 decode it, rebuild the axis word, demap the sign stream on the chosen axes,
 decode it, tally errors.
 
-Reproducibility contract: trial t draws from a private generator seeded by
-SeedSequence([seed, t]), in the order c1, c2, real noise, imaginary noise,
-so tallies are independent of how run_trials splits the blocks of frames
-across worker processes.
+Reproducibility contract: trial t draws what a private generator seeded by
+SeedSequence([seed, t]) would draw, in the order c1, c2, real noise,
+imaginary noise, so tallies are independent of how run_trials splits the
+blocks of frames across worker processes.
 
 Frames run in blocks of about BLOCK_SYMBOLS symbols (16384: 16 frames of
-ldpc1024, 2340 of hamming74). Within a block each frame still draws from
-its own generator; everything after the draws (encoding, mapping,
-demapping, decoding, tallying) runs on (T, M) arrays of the block's T
-frames at once. A frame's result does not depend on the block it lands in,
-so the block size changes speed and memory, not tallies. Larger blocks
-spread the per-call cost of each BP iteration over more frames; a block of
-16 ldpc1024 frames keeps BP's message arrays near 400 KB each.
+ldpc1024, 2340 of hamming74). A block builds no per-frame generator
+objects: _pcg64_seeds hashes the frames' SeedSequences into PCG64 states
+with array arithmetic, SEED_PASS frames at a time, and one PCG64 is set to
+each frame's state in turn for that frame's draws. Everything after the
+draws (encoding, mapping, demapping, decoding, tallying) runs on (T, M)
+arrays of the block's T frames at once.
+A frame's result does not depend on the block it lands in, so the block
+size changes speed and memory, not tallies. Larger blocks spread the
+per-call cost of each BP iteration over more frames; a block of 16 ldpc1024
+frames keeps BP's message arrays near 400 KB each.
 
 Uncoded per-symbol statistics are the link's own: with identity codes, ber1
 is the hard axis-decision error rate (llr1 < 0 exactly when |im| > |re|),
@@ -28,6 +31,7 @@ axis, Q(sqrt(2) alpha / sigma).
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 
@@ -50,6 +54,7 @@ STAGE2_MODES = ("reconstructed", "raw_hard", "genie")
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 BLOCK_SYMBOLS = 16384  # symbols per block of frames (at least one frame)
+SEED_PASS = 1024  # trials seeded per pass, so a block's 128-bit ints stay few
 
 
 def q_function(x: float) -> float:
@@ -186,31 +191,113 @@ class SimStats:
         return abs(centre - p) + half
 
 
-def _trial_rng(seed: int, trial: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([seed, trial]))
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx) and
+# the PCG64 multiplier (O'Neill, HMC-CS-2014-0905)
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
-def transmit_block(cfg: LinkConfig, rngs, frames: int) -> TxBlock:
-    """Draw, encode, map and add noise to a block of frames, one per generator.
+def _uint32_words(n: int) -> list[int]:
+    """SeedSequence's entropy words of a nonnegative int: 32 bits each,
+    least significant first, one word for 0."""
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
 
-    Each generator draws its frame's c1, c2, real and imaginary noise, in
-    that order. rngs may be a lazy iterable of `frames` generators, so only
-    one generator is alive at a time.
+
+def _hashmix(hash_const: int, mult: int):
+    """SeedSequence's hashmix over uint32 arrays, keeping its running hash
+    constant, which does not depend on the data, as a Python int."""
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * mult & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> 16)
+
+    return hashmix
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
+    return r ^ (r >> 16)
+
+
+def _pcg64_from_entropy(words: list[np.ndarray]) -> Iterator[tuple[int, int]]:
+    """(state, inc) of PCG64(SeedSequence(e)) for each column e of the
+    entropy words, a list of equal-length uint32 arrays, one at a time."""
+    hashmix = _hashmix(_INIT_A, _MULT_A)
+    pool = [hashmix(words[i] if i < len(words) else np.zeros_like(words[0])) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for src in range(4, len(words)):
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], hashmix(words[src]))
+    # generate_state(4, uint64): eight uint32 draws read as four little-endian uint64
+    draw = _hashmix(_INIT_B, _MULT_B)
+    out32 = [draw(pool[i % 4]) for i in range(8)]
+    s_hi, s_lo, i_hi, i_lo = ((out32[2 * j + 1].astype(np.uint64) << 32 | out32[2 * j]).tolist()
+                              for j in range(4))
+    for a, b, c, d in zip(s_hi, s_lo, i_hi, i_lo):
+        # pcg_setseq_128_srandom_r: inc = 2 i + 1, then two LCG steps from 0, adding s between
+        inc = ((c << 64 | d) << 1 | 1) & _MASK128
+        yield (((a << 64 | b) + inc) * _PCG_MULT + inc) & _MASK128, inc
+
+
+def _pcg64_seeds(seed: int, trials: range) -> Iterator[tuple[int, int]]:
+    """(state, inc) of PCG64(SeedSequence([seed, t])) for each trial id t < 2**64.
+
+    The entropy is seed's words then t's; up to SEED_PASS trials whose ids
+    have the same number of words are seeded in one pass of uint32 array
+    arithmetic.
+    """
+    start = trials.start
+    while start < trials.stop:
+        n = len(_uint32_words(start))
+        t = np.arange(start, min(trials.stop, 1 << 32 * n, start + SEED_PASS), dtype=np.uint64)
+        words = [np.full(t.size, w, dtype=np.uint32) for w in _uint32_words(seed)]
+        words += [(t >> np.uint64(32 * j)).astype(np.uint32) for j in range(n)]
+        yield from _pcg64_from_entropy(words)
+        start += t.size
+
+
+def transmit_block(cfg: LinkConfig, trials: range) -> TxBlock:
+    """Draw, encode, map and add noise to a block of frames, one per trial id.
+
+    Frame t gets the draws of default_rng(SeedSequence([cfg.seed, t])):
+    integers(0, 2, K1, uint8) for c1, the same for c2, then normal(0, sigma,
+    M) for the real and for the imaginary noise. Those bits are the top bits
+    of the bytes of successive little-endian uint32 halves of the generator's
+    64-bit outputs, ceil(K/4) words per stream (numpy's bounded uint8 draw
+    never rejects at range 2), and one normal call of 2M values equals the
+    two calls of M; so each frame takes one random_raw and one normal call.
     """
     sigma = np.sqrt(cfg.sigma2)
     k1, k2, m = cfg.code1.K, cfg.code2.K, cfg.code1.M
-    c1 = np.empty((frames, k1), dtype=np.uint8)
-    c2 = np.empty((frames, k2), dtype=np.uint8)
-    re = np.empty((frames, m))
-    im = np.empty((frames, m))
-    for i, rng in enumerate(rngs):
-        c1[i] = rng.integers(0, 2, size=k1, dtype=np.uint8)
-        c2[i] = rng.integers(0, 2, size=k2, dtype=np.uint8)
-        re[i] = rng.normal(0.0, sigma, m)
-        im[i] = rng.normal(0.0, sigma, m)
+    w1, w2 = -(-k1 // 4), -(-k2 // 4)
+    raw = np.empty((len(trials), -(-(w1 + w2) // 2)), dtype=np.uint64)
+    noise = np.empty((len(trials), 2 * m))
+    bitgen = np.random.PCG64(0)
+    rng = np.random.Generator(bitgen)
+    for i, (state, inc) in enumerate(_pcg64_seeds(cfg.seed, trials)):
+        bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                        "has_uint32": 0, "uinteger": 0}
+        raw[i] = bitgen.random_raw(raw.shape[1])
+        noise[i] = rng.normal(0.0, sigma, 2 * m)
+    top = raw.astype("<u8", copy=False).view(np.uint8) >> 7
+    c1 = np.ascontiguousarray(top[:, :k1])
+    c2 = np.ascontiguousarray(top[:, 4 * w1:4 * w1 + k2])
     v1 = codec.encode(cfg.code1, c1)
     v2 = codec.encode(cfg.code2, c2)
-    y = map_bits(v1, v2, Constellation(cfg.alpha)) + re + 1j * im
+    y = map_bits(v1, v2, Constellation(cfg.alpha)) + noise[:, :m] + 1j * noise[:, m:]
     return TxBlock(c1, c2, v1, v2, y)
 
 
@@ -251,7 +338,7 @@ def _run_blocks(cfg: LinkConfig, blocks) -> SimStats:
     noise = None if cfg.sigma2 == 0.0 else NoiseModel(cfg.sigma2)
     stats = SimStats(trials=0, k1=cfg.code1.K, k2=cfg.code2.K, block_len=cfg.code1.M)
     for ids in blocks:
-        blk = transmit_block(cfg, (_trial_rng(cfg.seed, t) for t in ids), len(ids))
+        blk = transmit_block(cfg, ids)
         stats = stats + _tally(cfg, cons, noise, blk)
     return stats
 

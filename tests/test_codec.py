@@ -534,7 +534,7 @@ def test_bp_matches_reference_at_the_iteration_cap(monkeypatch):
 
     code = codec.ldpc_code(1024)
     cfg = linksim.LinkConfig(code, code, alpha=1.0 / np.sqrt(2.0), sigma2=0.35, trials=3)
-    blk = linksim.transmit_block(cfg, (np.random.default_rng(s) for s in range(3)), 3)
+    blk = linksim.transmit_block(cfg, range(3))
     llr = ocb.demap_stage1(blk.y, ocb.Constellation(cfg.alpha), NoiseModel(cfg.sigma2))
     assert assert_bp_matches_reference(code, llr, 50, monkeypatch) == [50, 50, 50]
 

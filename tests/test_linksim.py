@@ -93,17 +93,16 @@ def test_gamma_at_the_ceiling_is_error_free(code):
 # transmit path
 
 
-def transmit_frame(cfg, rng):
+def transmit_frame(cfg, trial):
     """Row 0 of a one-frame block."""
-    blk = linksim.transmit_block(cfg, [rng], 1)
+    blk = linksim.transmit_block(cfg, range(trial, trial + 1))
     assert blk.y.shape == (1, cfg.code1.M)
     return linksim.TxBlock(blk.c1[0], blk.c2[0], blk.v1[0], blk.v2[0], blk.y[0])
 
 
 def test_noiseless_transmit_hits_constellation_points_exactly():
     cfg = LinkConfig(HAM, HAM, alpha=INV2, sigma2=0.0, trials=1, seed=5)
-    rng = np.random.default_rng(0)
-    blk = transmit_frame(cfg, rng)
+    blk = transmit_frame(cfg, 0)
     from ocbsim.ocb import Constellation, map_bits
 
     expect = map_bits(blk.v1, blk.v2, Constellation(INV2))
@@ -112,8 +111,8 @@ def test_noiseless_transmit_hits_constellation_points_exactly():
 
 def test_transmit_is_deterministic_for_a_fixed_generator_state():
     cfg = LinkConfig(HAM, HAM, alpha=1.0, sigma2=0.3, trials=1, seed=5)
-    a = transmit_frame(cfg, np.random.default_rng(123))
-    b = transmit_frame(cfg, np.random.default_rng(123))
+    a = transmit_frame(cfg, 123)
+    b = transmit_frame(cfg, 123)
     assert np.array_equal(a.c1, b.c1) and np.array_equal(a.c2, b.c2)
     assert np.array_equal(a.y, b.y)
 
@@ -123,11 +122,71 @@ def test_received_energy_accounting():
     alpha, sigma2 = 0.9, 0.6
     rep = codec.repetition_code(100_000)
     cfg = LinkConfig(rep, rep, alpha=alpha, sigma2=sigma2, trials=1, seed=2)
-    blk = transmit_frame(cfg, np.random.default_rng(77))
+    blk = transmit_frame(cfg, 77)
     e = np.abs(blk.y) ** 2
     want = 2.0 * alpha**2 + 2.0 * sigma2
     se = e.std(ddof=1) / np.sqrt(e.size)
     assert abs(e.mean() - want) < 3.0 * se
+
+
+def numpy_pcg64_seed(seed, t):
+    lcg = np.random.PCG64(np.random.SeedSequence([seed, t])).state["state"]
+    return lcg["state"], lcg["inc"]
+
+
+# 2**100 + 7 is four entropy words, so [seed, t] overflows SeedSequence's pool
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**100 + 7])
+def test_block_seeding_matches_numpy(seed, monkeypatch):
+    draws = np.random.default_rng(19).integers(0, 2**64, size=4, dtype=np.uint64)
+    for t in [0, 1, 2**32 - 1, 2**32, 12345, *map(int, draws)]:
+        assert list(linksim._pcg64_seeds(seed, range(t, t + 1))) == [numpy_pcg64_seed(seed, t)], t
+    # one and two entropy words for t, in passes of 4, 2, 4 and 2 trials
+    monkeypatch.setattr(linksim, "SEED_PASS", 4)
+    straddle = range(2**32 - 6, 2**32 + 6)
+    assert list(linksim._pcg64_seeds(seed, straddle)) == [numpy_pcg64_seed(seed, t) for t in straddle]
+
+
+def numpy_transmit_chain(cfg, trials):
+    """The frames of a block one at a time, each on its own
+    default_rng(SeedSequence([seed, t])), as (c1, c2, v1, v2, y) rows."""
+    cons = ocb.Constellation(cfg.alpha)
+    sigma = np.sqrt(cfg.sigma2)
+    rows = []
+    for t in trials:
+        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, t]))
+        c1 = rng.integers(0, 2, size=cfg.code1.K, dtype=np.uint8)
+        c2 = rng.integers(0, 2, size=cfg.code2.K, dtype=np.uint8)
+        re = rng.normal(0.0, sigma, cfg.code1.M)
+        im = rng.normal(0.0, sigma, cfg.code1.M)
+        v1 = codec.encode(cfg.code1, c1)
+        v2 = codec.encode(cfg.code2, c2)
+        rows.append((c1, c2, v1, v2, ocb.map_bits(v1, v2, cons) + re + 1j * im))
+    return [np.array(col) for col in zip(*rows)]
+
+
+# K mod 4 of 0, 1, 3 (M = 7) and 2 (M = 6), in both orders
+_SEVEN = {"hamming74": HAM, "repetition7": codec.repetition_code(7),
+          "identity7": codec.identity_code(7)}
+_TX_PAIRS = {
+    **{f"{a}-{b}": (_SEVEN[a], _SEVEN[b]) for a in _SEVEN for b in _SEVEN},
+    "identity6-repetition6": (codec.identity_code(6), codec.repetition_code(6)),
+    "repetition6-identity6": (codec.repetition_code(6), codec.identity_code(6)),
+    "identity64": (codec.identity_code(64), codec.identity_code(64)),
+    "ldpc96": (codec.ldpc_code(96), codec.ldpc_code(96)),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 + 5])
+@pytest.mark.parametrize("sigma2", [0.0, 0.4])
+@pytest.mark.parametrize("pair", sorted(_TX_PAIRS))
+def test_transmit_block_matches_per_frame_numpy_generators(pair, sigma2, seed):
+    code1, code2 = _TX_PAIRS[pair]
+    cfg = LinkConfig(code1, code2, alpha=INV2, sigma2=sigma2, trials=40, seed=seed)
+    blk = linksim.transmit_block(cfg, range(3, 40))
+    want = numpy_transmit_chain(cfg, range(3, 40))
+    for name, expect in zip(("c1", "c2", "v1", "v2", "y"), want):
+        got = getattr(blk, name)
+        assert got.dtype == expect.dtype and np.array_equal(got, expect), name
 
 
 # ---------------------------------------------------------------------------
@@ -239,11 +298,13 @@ def test_threads_split_the_blocks_into_contiguous_runs(monkeypatch, serial_pool,
     monkeypatch.setattr(linksim, "BLOCK_SYMBOLS", 7 * 40)  # 40 frames a block
     drawn = Counter()
 
-    def counting_rng(seed, trial):
-        drawn[trial] += 1
-        return np.random.default_rng(np.random.SeedSequence([seed, trial]))
+    seeds = linksim._pcg64_seeds
 
-    monkeypatch.setattr(linksim, "_trial_rng", counting_rng)
+    def counting_seeds(seed, trials):
+        drawn.update(trials)
+        return seeds(seed, trials)
+
+    monkeypatch.setattr(linksim, "_pcg64_seeds", counting_seeds)
     cfg = LinkConfig(HAM, HAM, alpha=1.0, sigma2=0.4, trials=trials, seed=5)
     stats = linksim.run_trials(cfg, threads=threads)
     assert stats.trials == trials
