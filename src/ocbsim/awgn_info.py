@@ -16,7 +16,11 @@ are scaled, so the geometry stays exact far from the origin and the noise
 stays exact next to any amplitude up to the SNR ceiling GAMMA_MAX; and from
 the split of the Gaussian exponent by dimension: one exponentiated (K, K, N)
 factor table per dimension, contracted over the points by one batched
-product for all K components, so its working set is O(K N^2).
+product for all K components, so its working set is O(K N^2). Its nodes are
+the roots of the Hermite polynomial H_N, found by Newton's method on the
+three-term recurrence from an asymptotic first guess, and its weights follow
+from H_{N-1} at the roots: no eigensolver, so no rate path calls LAPACK,
+whose threaded kernels would wake BLAS's worker pool.
 
 The seeded Monte Carlo estimator, used for cross-validation, takes each
 sample's information density as the ratio of its in-group and total sums of
@@ -24,17 +28,19 @@ the max-shifted, exponentiated joint terms, so one estimator serves any
 grouping of the points. It does this arithmetic in cache-sized blocks of
 samples, finds each sample's point by counting cdf entries rather than by a
 search, and reduces without BLAS, so its working set is O(m) in the m
-samples of a chunk and its result does not depend on the block size.
+samples of a chunk and its result does not depend on the block size. Its
+per-sample values overwrite the chunk's uniform draws, and the block tables
+are allocated once per estimate.
 Both backends leave points of zero prior out.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.hermite import hermgauss
 
 __all__ = [
     "DEFAULT_QUAD_ORDER",
@@ -64,8 +70,9 @@ LN2 = np.log(2.0)
 # 2D rule below 1e-7 on the working SNR range; 64 lets it creep past 1e-6
 # around gamma = 20 for axis-aligned four-point sets.
 DEFAULT_QUAD_ORDER = 128
-# numpy's hermgauss loses its weights past order 370: at 371 they sum to 0,
-# from 372 on they are NaN (numpy 2.4)
+# The weights 1/h_{N-1}(x_i)^2, with h_{N-1} scaled by its largest value,
+# run out of float range past order 370: the smallest is 2.4e-308 there, and
+# at 371 their sum overflows before they are normalised, leaving them all 0.
 MIN_QUAD_ORDER = 16
 MAX_QUAD_ORDER = 370
 MIN_MC_SAMPLES = 10_000
@@ -169,27 +176,74 @@ def noise_entropy(noise: NoiseModel) -> float:
 
 @lru_cache(maxsize=None)
 def _gh_nodes(order: int):
+    """Gauss-Hermite nodes and weights, for the weight exp(-x^2), in increasing node order.
+
+    The nodes are the roots of the orthonormal Hermite polynomial h_n,
+    n = order, each found by Newton's method from x = sqrt(2n + 1) cos(theta),
+    where theta - sin(theta) cos(theta) = pi (4k - 1) / (4n + 2) for the k-th
+    largest root (Townsend, Trogdon and Olver, IMA J. Numer. Anal. 36, 2016).
+    Newton solves that too, on the half theta <= pi/2 and mirrored, from
+    theta = (3t/2)^(1/3), below the root since 2 theta^3 / 3 bounds the left
+    side. One pass of the recurrence gives h_n and h_{n-1}, and
+    h_n' = sqrt(2n) h_{n-1}. Three steps bring every guess to rounding; the
+    rest is numpy's hermgauss after its eigensolver: one more Newton step,
+    weights 1 / h_{n-1}^2 with h_{n-1} scaled by its largest magnitude, nodes
+    and weights symmetrised, and the weights normalised to sum to sqrt(pi).
+    """
     if not MIN_QUAD_ORDER <= order <= MAX_QUAD_ORDER:
         raise ValueError(f"quadrature order must be in [{MIN_QUAD_ORDER}, {MAX_QUAD_ORDER}], got {order}")
-    return hermgauss(order)
+    # h_{k+1} = sqrt(2/(k+1)) x h_k - sqrt(k/(k+1)) h_{k-1} on u_k = h_k / s_k,
+    # with s_{k+1} = sqrt(k/(k+1)) s_{k-1}, reads u_{k+1} = c_k x u_k - u_{k-1}:
+    # two array operations a degree
+    s = [1.0, 1.0]
+    for k in range(1, order):
+        s.append(math.sqrt(k / (k + 1)) * s[k - 1])
+    c = np.sqrt(2.0 / np.arange(1, order + 1)) * np.divide(s[:-1], s[1:])
+
+    def h_pair(x):
+        prev, cur = np.zeros_like(x), np.full_like(x, np.pi ** -0.25)
+        for row in np.multiply.outer(c, x):
+            row *= cur
+            row -= prev
+            prev, cur = cur, row
+        return cur * s[order], prev * s[order - 1]
+
+    t = np.pi * (4 * np.arange(1, order + 1) - 1) / (4 * order + 2)
+    half = np.minimum(t, np.pi - t)
+    theta = np.cbrt(1.5 * half)
+    for _ in range(4):
+        theta -= (theta - np.sin(theta) * np.cos(theta) - half) / (2.0 * np.sin(theta) ** 2)
+    x = np.sqrt(2 * order + 1) * np.copysign(np.cos(theta), np.pi / 2 - t)[::-1]
+    for _ in range(4):  # the fourth step is hermgauss's
+        h_n, h_m = h_pair(x)
+        x -= h_n / (h_m * np.sqrt(2.0 * order))
+    fm = h_pair(x)[1]
+    fm /= np.abs(fm).max()
+    w = 1.0 / (fm * fm)
+    w = (w + w[::-1]) / 2
+    x = (x - x[::-1]) / 2
+    w *= np.sqrt(np.pi) / w.sum()
+    return x, w
 
 
-def _log_terms(y, coords: np.ndarray, sigma2: float, log_probs=None) -> np.ndarray:
-    """-(y - c_l)^2 / (2 sigma2) [+ ln pi_l], alphabet axis l first."""
-    expand = (-1,) + (1,) * np.ndim(y)
-    expo = y - coords.reshape(expand)
+def _log_terms(y: np.ndarray, coords: np.ndarray, sigma2: float, out: np.ndarray, log_probs=None) -> np.ndarray:
+    """-(y_i - c_l)^2 / (2 sigma2) [+ ln pi_l] into the (K, n) array out."""
+    expo = np.subtract(y, coords[:, None], out=out)
     expo *= expo
     expo /= -2.0 * sigma2
     if log_probs is not None:
-        expo += log_probs.reshape(expand)
+        expo += log_probs[:, None]
     return expo
 
 
-def _log_joint(coords, points: np.ndarray, probs: np.ndarray, sigma2: float) -> np.ndarray:
-    """ln pi_l - |y - s_l|^2 / (2 sigma2), alphabet axis l first; one array of y per dimension."""
-    expo = _log_terms(coords[0], points[:, 0], sigma2, np.log(probs))
+def _log_joint(coords, points: np.ndarray, probs: np.ndarray, sigma2: float, out, scratch) -> np.ndarray:
+    """ln pi_l - |y - s_l|^2 / (2 sigma2), alphabet axis l first; one array of y per dimension.
+
+    Written into out; scratch, of the same shape, takes each further dimension's terms.
+    """
+    expo = _log_terms(coords[0], points[:, 0], sigma2, out, np.log(probs))
     for y, c in zip(coords[1:], points.T[1:]):
-        expo += _log_terms(y, c, sigma2)
+        expo += _log_terms(y, c, sigma2, scratch)
     return expo
 
 
@@ -211,21 +265,24 @@ def mi_awgn(alphabet: PointSet, noise: NoiseModel, order: int = DEFAULT_QUAD_ORD
     however far the alphabet sits from the origin, the noise has variance
     1/2 per dimension, and the rule's bare nodes x_i are its samples, at any
     sigma2 a NoiseModel takes. With the mixture
-    m(u) = sum_l pi_l exp(-|u - s_l|^2) in those units,
-        I = -(sum_k pi_k E_x[ln m(s_k + x)] + D/2) / ln 2,
-    on a tensor rule of N^D nodes; points of zero prior are left out. The
-    mixture at s_k + (x_i, x_j) is sum_l pi_l A[k, l, i] B[k, l, j] times
-    exp(shifts), with A and B each dimension's factor table over the offsets
-    s_l - s_k, so one (K, N, K) @ (K, K, N) product gives it for every k; one
-    log and the shifts added back follow. For D = 1, B is a column of ones.
-    Peak memory is the (K, N, N) product, 2 MB at K = 16, N = 128.
+    m(u) = sum_l pi_l exp(-|u - s_l|^2) in those units, and E_x[|x|^2] = D/2,
+        I = -sum_k pi_k E_x[ln m(s_k + x) + |x|^2] / ln 2,
+    on a tensor rule of N^D nodes; points of zero prior are left out. With
+    o = s_l - s_k, the exponent -|x - o|^2 + |x|^2 is o . (2x - o), 0 for
+    l = k, so I is not the difference of two numbers near D/2, and at low SNR
+    it rounds several times less. The term at s_k + (x_i, x_j) is
+    ln sum_l pi_l A[k, l, i] B[k, l, j] plus the shifts, with A and B each
+    dimension's factor table, exp(o (2x - o) - shift), so one
+    (K, N, K) @ (K, K, N) product gives the sums for every k; one log and the
+    shifts added back follow. For D = 1, B is a column of ones. Peak memory
+    is the (K, N, N) product, 2 MB at K = 16, N = 128.
 
     Where the two factors peak at different points, a product can underflow.
-    Its own term l = k keeps it at least pi_k exp(-x_i^2 - x_j^2), so it
-    underflows only where x_i^2 + x_j^2 > 708 + ln(1/pi_k), and is clamped
-    there at the smallest normal float. Those nodes weigh w_i w_j < exp(-708)
-    (w exp(x^2) < 1 at every order), so the clamp moves I by less than 1e-300
-    bits.
+    Its own term l = k keeps it at least pi_k exp(-shift_i - shift_j), and
+    each shift is at most x^2, so it underflows only where
+    x_i^2 + x_j^2 > 708 + ln(1/pi_k), and is clamped there at the smallest
+    normal float. Those nodes weigh w_i w_j < exp(-708) (w exp(x^2) < 1 at
+    every order), so the clamp moves I by less than 1e-300 bits.
     """
     keep = alphabet.probs > 0.0
     points, probs = alphabet.points[keep], alphabet.probs[keep]
@@ -236,8 +293,8 @@ def mi_awgn(alphabet: PointSet, noise: NoiseModel, order: int = DEFAULT_QUAD_ORD
     k, dims = points.shape
     factors = []  # per dimension: the (K, K, N) table, its (K, 1, N) shift, the weights
     for c in 0.5 * points.T:  # halved, so no difference overflows
-        offsets = (c - c[:, None]) / scale  # s_l - s_k in noise units
-        expo = _log_terms(x, offsets.reshape(-1), 0.5).reshape(k, k, -1)
+        offsets = ((c - c[:, None]) / scale)[..., None]  # s_l - s_k in noise units
+        expo = (2.0 * x - offsets) * offsets
         shift = expo.max(axis=1, keepdims=True)
         factors.append((np.exp(np.subtract(expo, shift, out=expo), out=expo), shift, w))
     factors += [(np.ones((k, k, 1)), np.zeros((k, 1, 1)), np.ones(1))] * (2 - dims)
@@ -248,7 +305,7 @@ def mi_awgn(alphabet: PointSet, noise: NoiseModel, order: int = DEFAULT_QUAD_ORD
     lnp += shift_a.transpose(0, 2, 1)
     lnp += shift_b
     lnp = lnp @ w_b @ w_a
-    bits = -(float(probs @ lnp) / np.pi ** (0.5 * dims) + 0.5 * dims) / LN2
+    bits = -float(probs @ lnp) / np.pi ** (0.5 * dims) / LN2
     return MiResult(_clip_bits(bits, k), "quadrature")
 
 
@@ -256,19 +313,21 @@ def mi_awgn(alphabet: PointSet, noise: NoiseModel, order: int = DEFAULT_QUAD_ORD
 mi_awgn_1d = mi_awgn_2d = mi_awgn
 
 
-def _mc_sample_stats(values_iter) -> tuple[float, float, int]:
+def _mc_sample_stats(chunks) -> tuple[float, float, int]:
     """Mean and standard error over chunks of per-sample values.
 
-    Per-chunk (count, mean, M2) are merged with Chan et al.'s pairwise
+    Each chunk is a pair (values, spare): the values, which are only read,
+    and an array of their length that takes their deviations from the chunk
+    mean. Per-chunk (count, mean, M2) are merged with Chan et al.'s pairwise
     update, which stays accurate when the spread is tiny next to the mean.
     """
     count = 0
     mean = 0.0
     m2 = 0.0
-    for chunk in values_iter:
+    for chunk, spare in chunks:
         n_b = chunk.size
         mean_b = float(chunk.mean())
-        dev = chunk - mean_b
+        dev = np.subtract(chunk, mean_b, out=spare)
         m2_b = float(np.einsum("i,i->", dev, dev))  # not dev @ dev: a BLAS ddot wakes its thread pool
         total = count + n_b
         delta = mean_b - mean
@@ -299,19 +358,28 @@ def mi_monte_carlo_grouped(alphabet: PointSet, groups, noise: NoiseModel, sample
     Direct estimator E[log2 p(y|g) - log2 p(y)] for a D = 1 or D = 2
     alphabet; used to cross-check the chain-rule split of a layered labeling
     against quadrature. Points of zero prior are left out. Each chunk of m
-    samples draws one uniform(m) u, then one normal(m) per dimension. Sample
-    i's point is the number of cdf entries at or below u_i, the index
-    ``Generator.choice`` with ``p`` takes (cdf[-1] is 1.0 and u_i < 1). The
-    density is then computed in blocks of _MC_BLOCK samples, so each
-    (K, block) table stays in cache: the exponent table
+    samples draws one uniform(m) u, then one normal(0, sigma, m) per
+    dimension, all into one (1 + D, m) array: the noise as sigma times
+    ``standard_normal``, the same values, since ``normal`` returns
+    0 + sigma z for the same z. Sample i's point is the number of cdf
+    entries at or below u_i, the index ``Generator.choice`` with ``p`` takes
+    (cdf[-1] is 1.0 and u_i < 1). The density is then computed in blocks of
+    _MC_BLOCK samples, so each (K, block) table stays in cache: the exponent table
     ln pi_l - |y_i - s_l|^2 / (2 sigma2), shifted by its column maximum and
     exponentiated in place, is E; for sample i in group g,
         ln(sum_{l in g} E[l, i] / sum_l E[l, i]) - ln pi_g,
     since the shift and the Gaussian normalisation cancel in the ratio. Every
     operation is per sample, so the values do not depend on the block size.
+    The group sum adds the group's rows in ascending point order, which is
+    the masked column sum over all K rows less its exact zeros.
     Chunks merge by Chan et al.'s update, and no reduction calls BLAS, whose
     threaded dot product would wake its worker pool. The working set is
-    O(m). A degenerate alphabet yields exactly 0 +/- 0.
+    O(m), and no chunk-sized array is allocated beyond the draws' one: each
+    block's values overwrite its uniforms once they are read, and the
+    deviations from the mean overwrite the first noise draws. The two
+    (K, block) tables are allocated once per estimate. One allocation a
+    chunk is also one the allocator can keep for the next estimate, which
+    then touches no fresh pages. A degenerate alphabet yields exactly 0 +/- 0.
     """
     if samples < MIN_MC_SAMPLES:
         raise ValueError(f"samples must be at least {MIN_MC_SAMPLES}, got {samples}")
@@ -324,28 +392,40 @@ def mi_monte_carlo_grouped(alphabet: PointSet, groups, noise: NoiseModel, sample
     ln_pg = np.log(np.bincount(group_of, probs))
     cdf = np.cumsum(probs)
     cdf /= cdf[-1]
+    members = [np.flatnonzero(group_of == g) for g in range(ln_pg.size)]
     rng = np.random.default_rng(seed)
     sigma = noise.sigma
+    width = min(samples, _MC_BLOCK)
+    # the exponent table, and the terms of a further dimension, then the group sums
+    expo_table, term_table = np.empty((2, points.shape[0], width))
 
     def chunks():
         left = samples
         while left > 0:
             m = min(left, _MC_CHUNK)
-            u = rng.random(m)
-            draws = [rng.normal(0.0, sigma, m) for _ in points.T]
-            values = np.empty(m)
+            # the uniforms, until their block's values replace them, and the noise
+            values, *draws = np.empty((1 + points.shape[1], m))
+            rng.random(out=values)
+            for d in draws:
+                rng.standard_normal(out=d)
+                d *= sigma
             for lo in range(0, m, _MC_BLOCK):
                 blk = slice(lo, lo + _MC_BLOCK)
-                k = _point_index(cdf, u[blk])
-                ys = [c[k] + n[blk] for c, n in zip(points.T, draws)]
-                expo = _log_joint(ys, points, probs, noise.sigma2)
+                k = _point_index(cdf, values[blk])
+                n = k.size
+                ys = [c[k] + d[blk] for c, d in zip(points.T, draws)]
+                expo = _log_joint(ys, points, probs, noise.sigma2, expo_table[:, :n], term_table[:, :n])
                 expo -= expo.max(axis=0)
                 np.exp(expo, out=expo)
                 total = expo.sum(axis=0)
+                group_sum = term_table[:, :n]
+                for g, rows in enumerate(members):
+                    np.copyto(group_sum[g], expo[rows[0]])
+                    for row in rows[1:]:
+                        group_sum[g] += expo[row]
                 g = group_of[k]
-                expo *= group_of[:, None] == g
-                values[blk] = (np.log(expo.sum(axis=0) / total) - ln_pg[g]) / LN2
-            yield values
+                values[blk] = (np.log(group_sum[g, np.arange(n)] / total) - ln_pg[g]) / LN2
+            yield values, draws[0]
             left -= m
 
     mean, stderr, _ = _mc_sample_stats(chunks())

@@ -268,8 +268,10 @@ def _ml_decode(code: LinearCode, llr: np.ndarray) -> np.ndarray:
 
 
 def _phi(x: np.ndarray) -> np.ndarray:
-    """phi(x) = -ln tanh(x/2), self-inverse on (0, inf); overwrites x."""
-    np.clip(x, 1e-12, LLR_CLIP, out=x)
+    """phi(x) = -ln tanh(x/2), self-inverse on (0, inf); overwrites x.
+
+    The callers clip x to [1e-12, LLR_CLIP] first, each with the one clip it needs.
+    """
     x *= 0.5
     np.tanh(x, out=x)
     np.log(x, out=x)
@@ -298,17 +300,18 @@ def _bp_decode(code: LinearCode, llr: np.ndarray, iterations: int) -> np.ndarray
     msg_c2v = np.zeros_like(on_slots)
     for it in range(iterations):
         msg_v2c = np.subtract(on_slots, msg_c2v, out=on_slots)
-        np.clip(msg_v2c, -LLR_CLIP, LLR_CLIP, out=msg_v2c)
         # an outgoing message is negative when an odd number of the check's
         # other incoming messages are
         flip = lay.zero_pads(msg_v2c < 0.0)
         flip ^= np.bitwise_xor.reduce(flip, axis=1, keepdims=True)
-        mags = lay.zero_pads(_phi(np.abs(msg_v2c, out=msg_v2c)))
+        # one clip of |v2c|: |clip(v, -LLR_CLIP, LLR_CLIP)| is min(|v|, LLR_CLIP)
+        mags = np.clip(np.abs(msg_v2c, out=msg_v2c), 1e-12, LLR_CLIP, out=msg_v2c)
+        mags = lay.zero_pads(_phi(mags))
         # slot 0 plus the in-order sum of the others, the association that
         # np.add.reduceat uses on an edge list for checks of degree up to 8
         mag_sum = np.add.reduce(mags[:, 1:], axis=1, keepdims=True)
         mag_sum += mags[:, :1]
-        msg_c2v = _phi(np.subtract(mag_sum, mags, out=mags))
+        msg_c2v = _phi(np.clip(np.subtract(mag_sum, mags, out=mags), 1e-12, LLR_CLIP, out=mags))
         sign_bits = msg_c2v.view(np.uint64)  # phi > 0: setting the sign bit negates
         sign_bits |= np.left_shift(flip, 63, dtype=np.uint64)
         lay.zero_pads(msg_c2v)

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.polynomial.hermite import hermgauss
 from scipy.special import logsumexp
 
-from ocbsim import awgn_info as ai
+from ocbsim import awgn_info as ai, cli
 
 # Frozen from an independent Monte Carlo estimator (10^7 draws each, fixed
 # seeds, run outside this package); bands are 3 standard errors.
@@ -581,7 +581,7 @@ def test_mc_sample_stats_survive_a_large_offset():
     # E[x^2] - E[x]^2 loses every digit here; merged (count, mean, M2) does not
     rng = np.random.default_rng(4)
     chunks = [1e8 + 1e-3 * rng.standard_normal(n) for n in (50_000, 30_000, 20_000)]
-    mean, stderr, count = ai._mc_sample_stats(iter(chunks))
+    mean, stderr, count = ai._mc_sample_stats((c, np.empty_like(c)) for c in chunks)
     want_mean, want_stderr = _ref_two_pass(chunks)
     assert count == 100_000
     assert mean == pytest.approx(want_mean, rel=1e-12)
@@ -616,3 +616,128 @@ def test_clip_bits_names_a_plain_number():
         ai._clip_bits(np.float64(2.5), 4)
     assert "np.float64" not in str(err.value)
     assert "gave 2.5 bits" in str(err.value)
+
+
+# ---------------------------------------------------------------------------
+# the Gauss-Hermite rule, against numpy's eigensolver-based hermgauss
+
+ORDERS = range(ai.MIN_QUAD_ORDER, ai.MAX_QUAD_ORDER + 1)
+
+
+def test_gh_nodes_match_hermgauss_at_every_order():
+    for order in ORDERS:
+        x, w = ai._gh_nodes(order)
+        x_ref, w_ref = hermgauss(order)
+        assert np.all(np.abs(x - x_ref) <= 1e-14 * np.maximum(1.0, np.abs(x_ref))), order
+        assert np.all(np.abs(w - w_ref) <= 1e-12 * w_ref), order
+
+
+def test_gh_nodes_are_sorted_symmetric_and_integrate_even_moments():
+    root_pi = np.sqrt(np.pi)
+    for order in ORDERS:
+        x, w = ai._gh_nodes(order)
+        assert np.all(np.diff(x) > 0.0), order
+        assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1]), order
+        if order % 2:
+            assert x[order // 2] == 0.0
+        for power, want in ((0, root_pi), (2, root_pi / 2.0), (4, 0.75 * root_pi)):
+            assert float(w @ x**power) == pytest.approx(want, rel=1e-13), (order, power)
+
+
+def test_gh_weights_stay_finite_and_positive_up_to_the_ceiling():
+    x, w = ai._gh_nodes(ai.MAX_QUAD_ORDER)
+    assert np.all(np.isfinite(x)) and np.all(np.isfinite(w)) and np.all(w > 0.0)
+    with pytest.raises(ValueError):
+        ai._gh_nodes(ai.MAX_QUAD_ORDER + 1)
+
+
+def test_rate_commands_call_no_lapack(monkeypatch, tmp_path):
+    def refuse(*args, **kwargs):
+        raise AssertionError("LAPACK called on a rate path")
+
+    for name in ("eigvalsh", "eigh", "eig", "eigvals"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    ai._gh_nodes.cache_clear()
+    try:
+        assert cli.main(["curves", "--points", "5", "--svg", "--out", str(tmp_path)]) == 0
+        argv = ["verify", "--grid-points", "3", "--mc-samples", "20000", "--trials", "20"]
+        assert cli.main(argv + ["--out", str(tmp_path)]) == 0
+    finally:
+        ai._gh_nodes.cache_clear()
+
+
+# ---------------------------------------------------------------------------
+# the blocked Monte Carlo estimator, bit for bit against whole-chunk arithmetic
+
+
+def _whole_chunk_monte_carlo(points, probs, groups, sigma2, samples, seed, chunk):
+    """I(G;Y) by the whole-chunk arithmetic: random(m), then normal(0, sigma, m)
+    per dimension, then the masked (K, m) density; chunks merged by Chan's update."""
+    points = np.asarray(points, dtype=float).reshape(len(probs), -1)
+    probs = np.asarray(probs, dtype=float)
+    _, group_of = np.unique(groups, return_inverse=True)
+    ln_pg = np.log(np.bincount(group_of, probs))
+    cdf = np.cumsum(probs)
+    cdf /= cdf[-1]
+    rng = np.random.default_rng(seed)
+    sigma = float(np.sqrt(sigma2))
+    count, mean, m2 = 0, 0.0, 0.0
+    left = samples
+    while left > 0:
+        m = min(left, chunk)
+        u = rng.random(m)
+        noise = [rng.normal(0.0, sigma, m) for _ in points.T]
+        k = np.searchsorted(cdf, u, side="right")
+        ys = [c[k] + n for c, n in zip(points.T, noise)]
+        expo = (ys[0] - points[:, :1]) ** 2 / (-2.0 * sigma2) + np.log(probs)[:, None]
+        for y, c in zip(ys[1:], points.T[1:]):
+            expo = expo + (y - c[:, None]) ** 2 / (-2.0 * sigma2)
+        expo = np.exp(expo - expo.max(axis=0))
+        g = group_of[k]
+        numerator = (expo * (group_of[:, None] == g)).sum(axis=0)
+        values = (np.log(numerator / expo.sum(axis=0)) - ln_pg[g]) / LN2
+        mean_b = float(values.mean())
+        dev = values - mean_b
+        m2_b = float(np.einsum("i,i->", dev, dev))
+        total = count + m
+        delta = mean_b - mean
+        mean += delta * (m / total)
+        m2 += m2_b + delta * delta * (count * m / total)
+        count = total
+        left -= m
+    return max(mean, 0.0), float(np.sqrt(m2 / count / count))
+
+
+MC_CASES = {
+    "bpsk": ([1.0, -1.0], [0, 1]),
+    "qpsk": ([(0.8, 0.8), (-0.8, 0.8), (0.8, -0.8), (-0.8, -0.8)], [0, 1, 2, 3]),
+    "axis-grouping": ([(1.2, 0.0), (0.0, 1.2), (-1.2, 0.0), (0.0, -1.2)], [0, 1, 0, 1]),
+}
+
+
+@pytest.mark.parametrize("seed", [3, 40])
+@pytest.mark.parametrize("case", sorted(MC_CASES))
+def test_monte_carlo_is_bit_identical_to_whole_chunk_arithmetic(case, seed):
+    points, groups = MC_CASES[case]
+    probs = np.full(len(groups), 1.0 / len(groups))
+    got = ai.mi_monte_carlo_grouped(ai.PointSet(np.array(points), probs), np.array(groups),
+                                    ai.NoiseModel(0.9), 20_000, seed)
+    want = _whole_chunk_monte_carlo(points, probs, groups, 0.9, 20_000, seed, ai._MC_CHUNK)
+    assert (got.bits, got.stderr) == want
+
+
+def test_monte_carlo_is_bit_identical_across_chunks(monkeypatch):
+    monkeypatch.setattr(ai, "_MC_CHUNK", 7_000)
+    points, groups = MC_CASES["axis-grouping"]
+    probs = np.array([0.1, 0.2, 0.3, 0.4])
+    got = ai.mi_monte_carlo_grouped(ai.PointSet(np.array(points), probs), np.array(groups),
+                                    ai.NoiseModel(0.6), 20_000, 11)
+    assert (got.bits, got.stderr) == _whole_chunk_monte_carlo(points, probs, groups, 0.6, 20_000, 11, 7_000)
+
+
+def test_mc_sample_stats_leave_their_chunks_unchanged():
+    rng = np.random.default_rng(9)
+    chunks = [rng.standard_normal(n) for n in (5_000, 3_000)]
+    copies = [c.copy() for c in chunks]
+    ai._mc_sample_stats((c, np.empty_like(c)) for c in chunks)
+    assert all(np.array_equal(c, k) for c, k in zip(chunks, copies))
