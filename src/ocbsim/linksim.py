@@ -13,10 +13,11 @@ blocks of frames across worker processes.
 Frames run in blocks of about BLOCK_SYMBOLS symbols (16384: 16 frames of
 ldpc1024, 2340 of hamming74). A block builds no per-frame generator
 objects: _pcg64_seeds hashes the frames' SeedSequences into PCG64 states
-with array arithmetic, SEED_PASS frames at a time, and one PCG64 is set to
-each frame's state in turn for that frame's draws. Everything after the
-draws (encoding, mapping, demapping, decoding, tallying) runs on (T, M)
-arrays of the block's T frames at once.
+with array arithmetic, one pass for each run of ids with the same number
+of 32-bit words, and one PCG64 is set to each frame's state in turn for
+that frame's draws. Everything after the draws (encoding, mapping,
+demapping, decoding, tallying) runs on (T, M) arrays of the block's T
+frames at once.
 A frame's result does not depend on the block it lands in, so the block
 size changes speed and memory, not tallies. Larger blocks spread the
 per-call cost of each BP iteration over more frames; a block of 16 ldpc1024
@@ -32,7 +33,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -54,7 +54,6 @@ STAGE2_MODES = ("reconstructed", "raw_hard", "genie")
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 BLOCK_SYMBOLS = 16384  # symbols per block of frames (at least one frame)
-SEED_PASS = 1024  # trials seeded per pass, so a block's 128-bit ints stay few
 
 
 def q_function(x: float) -> float:
@@ -75,6 +74,7 @@ class LinkConfig:
     stage2_input: str = "reconstructed"
 
     def __post_init__(self):
+        self.sigma2 = self.sigma2 + 0.0  # -0.0 becomes 0.0, which the noise draw accepts
         if self.code1.M != self.code2.M:
             raise ValueError(
                 f"both streams must span the same block length, got {self.code1.M} and {self.code2.M}"
@@ -255,14 +255,13 @@ def _pcg64_from_entropy(words: list[np.ndarray]) -> Iterator[tuple[int, int]]:
 def _pcg64_seeds(seed: int, trials: range) -> Iterator[tuple[int, int]]:
     """(state, inc) of PCG64(SeedSequence([seed, t])) for each trial id t < 2**64.
 
-    The entropy is seed's words then t's; up to SEED_PASS trials whose ids
-    have the same number of words are seeded in one pass of uint32 array
-    arithmetic.
+    The entropy is seed's words then t's; each run of trials whose ids have
+    the same number of words is seeded in one pass of uint32 array arithmetic.
     """
     start = trials.start
     while start < trials.stop:
         n = len(_uint32_words(start))
-        t = np.arange(start, min(trials.stop, 1 << 32 * n, start + SEED_PASS), dtype=np.uint64)
+        t = np.arange(start, min(trials.stop, 1 << 32 * n), dtype=np.uint64)
         words = [np.full(t.size, w, dtype=np.uint32) for w in _uint32_words(seed)]
         words += [(t >> np.uint64(32 * j)).astype(np.uint32) for j in range(n)]
         yield from _pcg64_from_entropy(words)
@@ -354,6 +353,9 @@ def run_trials(cfg: LinkConfig, threads: int = 1) -> SimStats:
         return _run_blocks(cfg, blocks)
     runs = [blocks[len(blocks) * i // workers:len(blocks) * (i + 1) // workers]
             for i in range(workers)]
+    # imported only when workers start, so importing linksim loads no multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         parts = list(pool.map(_run_blocks, [cfg] * workers, runs))
     return sum(parts[1:], parts[0])

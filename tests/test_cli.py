@@ -83,6 +83,29 @@ def test_cli_import_loads_no_scipy(tmp_path):
     assert out.stdout.strip() == "[]"
 
 
+def test_imports_load_no_submodule_and_no_process_pool(tmp_path):
+    code = ("import sys, ocbsim\n"
+            "print(sorted(m for m in sys.modules if m.startswith('ocbsim.')))\n"
+            "import ocbsim.cli\n"
+            "print([m for m in ('concurrent.futures.process', 'multiprocessing') if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
+                         capture_output=True, text=True, env=cli_env())
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["[]", "[]"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("curves", "--points", "5", "--svg"),
+    ("simulate", "--trials", "20"),
+    ("verify", "--grid-points", "3", "--mc-samples", "20000", "--trials", "20"),
+])
+def test_commands_run_with_numpy_as_the_only_dependency(tmp_path, argv):
+    code = "import sys; sys.modules['scipy'] = None; from ocbsim import cli; sys.exit(cli.main(sys.argv[1:]))"
+    out = subprocess.run([sys.executable, "-c", code, *argv], cwd=tmp_path,
+                         capture_output=True, text=True, env=cli_env())
+    assert out.returncode == 0, out.stdout + out.stderr
+
+
 # ---------------------------------------------------------------------------
 # curves
 
@@ -290,6 +313,22 @@ def test_simulate_noiseless_limit_is_clean(tmp_path, code):
     assert rec["gamma"] == "inf"
     for col in ("ber1", "ber2", "fer1", "fer2", "cond_events"):
         assert float(rec[col]) == 0.0, col
+
+
+@pytest.mark.parametrize("how", ["flag", "config"])
+def test_simulate_negative_zero_noise_is_the_noiseless_limit(tmp_path, how):
+    from ocbsim import cli
+
+    argv = ["simulate", "--trials", "30", "--code1", "ldpc96", "--code2", "ldpc96"]
+    assert cli.main(argv + ["--sigma2", "0", "--out", str(tmp_path / "zero")]) == 0
+    if how == "flag":
+        argv += ["--sigma2", "-0.0"]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("sigma2 = -0.0\n")
+        argv += ["--config", str(cfg)]
+    assert cli.main(argv + ["--out", str(tmp_path / "minus")]) == 0
+    assert read(tmp_path / "minus" / "sim.csv") == read(tmp_path / "zero" / "sim.csv")
 
 
 @pytest.mark.parametrize("sigma2", ["nan", "inf", "-1"])

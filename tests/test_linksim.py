@@ -1,6 +1,7 @@
 """End-to-end link simulation: noiseless limits, analytic error-rate
 oracles, reproducibility across worker processes, and tally algebra."""
 
+import concurrent.futures
 from collections import Counter
 from dataclasses import asdict
 
@@ -136,12 +137,11 @@ def numpy_pcg64_seed(seed, t):
 
 # 2**100 + 7 is four entropy words, so [seed, t] overflows SeedSequence's pool
 @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**100 + 7])
-def test_block_seeding_matches_numpy(seed, monkeypatch):
+def test_block_seeding_matches_numpy(seed):
     draws = np.random.default_rng(19).integers(0, 2**64, size=4, dtype=np.uint64)
     for t in [0, 1, 2**32 - 1, 2**32, 12345, *map(int, draws)]:
         assert list(linksim._pcg64_seeds(seed, range(t, t + 1))) == [numpy_pcg64_seed(seed, t)], t
-    # one and two entropy words for t, in passes of 4, 2, 4 and 2 trials
-    monkeypatch.setattr(linksim, "SEED_PASS", 4)
+    # one and two entropy words for t, seeded in one pass each
     straddle = range(2**32 - 6, 2**32 + 6)
     assert list(linksim._pcg64_seeds(seed, straddle)) == [numpy_pcg64_seed(seed, t) for t in straddle]
 
@@ -258,9 +258,9 @@ def test_identical_configs_give_identical_stats():
 
 @pytest.fixture
 def serial_pool(monkeypatch):
-    """Swap run_trials' ProcessPoolExecutor for a stand-in that records its
-    size and the parts it is given and runs them in order in this process;
-    returns the list of pools made."""
+    """Swap the ProcessPoolExecutor that run_trials imports when it starts
+    workers for a stand-in that records its size and the parts it is given
+    and runs them in order in this process; returns the list of pools made."""
     made = []
 
     class SerialPool:
@@ -279,7 +279,7 @@ def serial_pool(monkeypatch):
             self.parts = list(zip(*iterables))
             return [fn(*part) for part in self.parts]
 
-    monkeypatch.setattr(linksim, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     return made
 
 
