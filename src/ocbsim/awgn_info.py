@@ -42,28 +42,6 @@ from functools import lru_cache
 
 import numpy as np
 
-__all__ = [
-    "DEFAULT_QUAD_ORDER",
-    "MIN_QUAD_ORDER",
-    "MAX_QUAD_ORDER",
-    "MIN_MC_SAMPLES",
-    "GAMMA_MAX",
-    "check_gamma",
-    "NoiseModel",
-    "PointSet",
-    "PointSet1D",
-    "PointSet2D",
-    "MiResult",
-    "noise_entropy",
-    "mi_awgn",
-    "mi_monte_carlo",
-    "mi_monte_carlo_grouped",
-    "gaussian_capacity",
-    "mi_bpsk",
-    "mi_qpsk",
-    "stream_mi_ocb",
-]
-
 LN2 = np.log(2.0)
 
 # 128 nodes per dimension holds the worst-case rotation dependence of the
@@ -156,22 +134,10 @@ PointSet1D = PointSet2D = PointSet
 
 @dataclass(frozen=True)
 class MiResult:
-    """A mutual-information value in bits/symbol with its provenance."""
+    """A mutual-information value in bits/symbol with its standard error (0 from quadrature)."""
 
     bits: float
-    method: str  # "quadrature" or "monte_carlo"
     stderr: float = 0.0
-
-    def __post_init__(self):
-        if self.method not in ("quadrature", "monte_carlo"):
-            raise ValueError(f"unknown method {self.method!r}")
-        if self.stderr < 0.0:
-            raise ValueError("stderr must be nonnegative")
-
-
-def noise_entropy(noise: NoiseModel) -> float:
-    """Differential entropy of the noise, bits per real dimension."""
-    return 0.5 * np.log2(2.0 * np.pi * np.e * noise.sigma2)
 
 
 @lru_cache(maxsize=None)
@@ -287,7 +253,7 @@ def mi_awgn(alphabet: PointSet, noise: NoiseModel, order: int = DEFAULT_QUAD_ORD
     keep = alphabet.probs > 0.0
     points, probs = alphabet.points[keep], alphabet.probs[keep]
     if np.all(points == points[0]):
-        return MiResult(0.0, "quadrature")
+        return MiResult(0.0)
     scale = np.sqrt(0.5) * noise.sigma  # sqrt(2 sigma2) / 2; 2 sigma2 itself can overflow
     x, w = _gh_nodes(order)
     k, dims = points.shape
@@ -306,7 +272,7 @@ def mi_awgn(alphabet: PointSet, noise: NoiseModel, order: int = DEFAULT_QUAD_ORD
     lnp += shift_b
     lnp = lnp @ w_b @ w_a
     bits = -float(probs @ lnp) / np.pi ** (0.5 * dims) / LN2
-    return MiResult(_clip_bits(bits, k), "quadrature")
+    return MiResult(_clip_bits(bits, k))
 
 
 # the benchmark's replay still calls the two names the kernel had per dimension
@@ -429,7 +395,7 @@ def mi_monte_carlo_grouped(alphabet: PointSet, groups, noise: NoiseModel, sample
             left -= m
 
     mean, stderr, _ = _mc_sample_stats(chunks())
-    return MiResult(max(mean, 0.0), "monte_carlo", stderr)
+    return MiResult(max(mean, 0.0), stderr)
 
 
 def gaussian_capacity(snr: float, dims: str = "real") -> float:

@@ -37,6 +37,8 @@ from . import __version__, awgn_info, codec, linksim, ocb, rates
 from .svgfig import LineChart
 
 _FLOAT_FMT = "{:.12g}"
+# the link's per-axis amplitude for simulate's default and verify's checks: unit symbol energy
+_ALPHA = 1.0 / np.sqrt(2.0)
 
 
 def _fmt(x) -> str:
@@ -217,12 +219,12 @@ def cmd_curves(args: argparse.Namespace) -> int:
 
 
 _SIM_DEFAULTS = {
-    "alpha": 1.0 / np.sqrt(2.0),
+    "alpha": _ALPHA,
     "sigma2": (0.5,),
     "code1": "hamming74",
     "code2": "hamming74",
     "trials": 1000,
-    "stage2_input": "reconstructed",
+    "stage2_input": linksim.LinkConfig.stage2_input,  # the field's default
 }
 
 
@@ -267,7 +269,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     _write_manifest(
         out_dir,
         "sim",
-        {**opt, "sigma2": ",".join(_fmt(s) for s in opt["sigma2"]), "seed": args.seed},
+        {**opt, "sigma2": ",".join(_fmt(cfg.sigma2) for cfg in cfgs), "seed": args.seed},
         [csv_path],
     )
     print(f"wrote {csv_path} ({len(rows)} rows)")
@@ -376,7 +378,7 @@ def _verify_subadditivity(rep: _Report, opt: dict) -> None:
 
 
 def _verify_geometry(rep: _Report) -> None:
-    cons = ocb.Constellation(alpha=1.0 / np.sqrt(2.0))
+    cons = ocb.Constellation(alpha=_ALPHA)
     worst = abs(np.abs(cons.points) ** 2 - cons.symbol_energy).max()
     # Table mapping: (0,0)->(a,0), (0,1)->(-a,0), (1,0)->(0,a), (1,1)->(0,-a)
     a = cons.amplitude
@@ -388,7 +390,7 @@ def _verify_geometry(rep: _Report) -> None:
 
 
 def _verify_genie_link(rep: _Report, opt: dict, seed: int, threads: int) -> None:
-    alpha, sigma2 = 1.0 / np.sqrt(2.0), 0.5
+    alpha, sigma2 = _ALPHA, 0.5
     code = codec.identity_code(64)
     cfg = linksim.LinkConfig(
         code1=code,

@@ -27,19 +27,6 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = [
-    "LinearCode",
-    "encode",
-    "decode",
-    "repetition_code",
-    "hamming74",
-    "identity_code",
-    "ldpc_code",
-    "from_generator_file",
-    "builtin_code",
-    "gf2_rank",
-]
-
 _ML_MAX_K = 16
 _ML_METRIC_ENTRIES = 1 << 16  # frames x codewords per ML correlation chunk
 _BP_DEFAULT_ITERATIONS = 50

@@ -41,15 +41,6 @@ from . import codec
 from .awgn_info import GAMMA_MAX, NoiseModel
 from .ocb import Constellation, demap_stage1, demap_stage2, map_bits, reconstruct_v1
 
-__all__ = [
-    "LinkConfig",
-    "TxBlock",
-    "SimStats",
-    "transmit_block",
-    "run_trials",
-    "q_function",
-]
-
 STAGE2_MODES = ("reconstructed", "raw_hard", "genie")
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
@@ -89,7 +80,7 @@ class LinkConfig:
             raise ValueError("seed must be a nonnegative integer")
         if self.stage2_input not in STAGE2_MODES:
             raise ValueError(f"stage2_input must be one of {STAGE2_MODES}")
-        # the alpha bound comes first, so alpha ** 2 in gamma cannot overflow
+        # both 2 alpha^2, the energy the LLRs scale with, and gamma are bounded
         if self.sigma2 > 0.0 and not (self.alpha <= math.sqrt(0.5 * GAMMA_MAX)
                                       and self.gamma <= GAMMA_MAX):
             raise ValueError(f"2 alpha^2 and 2 alpha^2 / sigma2 must be at most {GAMMA_MAX:g}; "
@@ -97,8 +88,10 @@ class LinkConfig:
 
     @property
     def gamma(self) -> float:
-        """Symbol SNR 2 alpha^2 / sigma2; inf at sigma2 = 0."""
-        return 2.0 * float(self.alpha) ** 2 / self.sigma2 if self.sigma2 > 0.0 else math.inf
+        """Symbol SNR 2 alpha^2 / sigma2; inf at sigma2 = 0. It squares alpha / sigma, as alpha^2
+        underflows first, by a product: past float range ** raises where * gives inf."""
+        ratio = float(self.alpha) / math.sqrt(self.sigma2) if self.sigma2 > 0.0 else math.inf
+        return 2.0 * ratio * ratio
 
     @property
     def shards(self) -> int:

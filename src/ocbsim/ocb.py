@@ -23,14 +23,6 @@ import numpy as np
 from .awgn_info import NoiseModel
 from . import codec
 
-__all__ = [
-    "Constellation",
-    "map_bits",
-    "demap_stage1",
-    "demap_stage2",
-    "reconstruct_v1",
-]
-
 
 @dataclass(frozen=True)
 class Constellation:

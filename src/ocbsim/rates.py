@@ -33,20 +33,6 @@ from .awgn_info import (
     stream_mi_ocb,
 )
 
-__all__ = [
-    "RateRow",
-    "SweepSpec",
-    "ClaimInterval",
-    "rate_ocb_claimed",
-    "rate_ocb_exact",
-    "check_superposition_inequality",
-    "gamma_grid",
-    "rate_row",
-    "sweep",
-    "claimed_gap",
-    "find_claim_interval",
-]
-
 CSV_COLUMNS = (
     "gamma",
     "i_bpsk",

@@ -11,8 +11,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["Series", "LineChart"]
-
 _PALETTE = (
     "#1f77b4",
     "#d62728",

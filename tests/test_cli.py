@@ -329,6 +329,42 @@ def test_simulate_negative_zero_noise_is_the_noiseless_limit(tmp_path, how):
         argv += ["--config", str(cfg)]
     assert cli.main(argv + ["--out", str(tmp_path / "minus")]) == 0
     assert read(tmp_path / "minus" / "sim.csv") == read(tmp_path / "zero" / "sim.csv")
+    # the manifest records the noise variance that ran, as sim.csv does
+    assert b"\nsigma2 = 0\n" in read(tmp_path / "minus" / "sim.manifest.txt")
+
+
+def test_sim_manifest_records_each_noise_level_as_run(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("sigma2 = -0.0, 0.5\n")
+    out = run_cli("simulate", "--trials", "10", "--config", str(cfg), cwd=tmp_path)
+    assert out.returncode == 0, out.stderr
+    header, *rows = (tmp_path / "sim.csv").read_text().splitlines()
+    col = header.split(",").index("sigma2")
+    assert [row.split(",")[col] for row in rows] == ["0", "0.5"]
+    assert "\nsigma2 = 0,0.5\n" in (tmp_path / "sim.manifest.txt").read_text()
+
+
+def test_simulate_writes_a_gamma_whose_alpha_squared_underflows(tmp_path):
+    out = run_cli("simulate", "--alpha", "1e-200", "--sigma2", "1e-300", "--trials", "10",
+                  cwd=tmp_path)
+    assert out.returncode == 0, out.stderr
+    header, row = (tmp_path / "sim.csv").read_text().splitlines()
+    rec = dict(zip(header.split(","), row.split(",")))
+    assert rec["gamma"] == "2e-100"
+
+
+def test_simulate_defaults_are_the_links(tmp_path):
+    from ocbsim import cli, codec, linksim, ocb
+
+    out = run_cli("simulate", "--trials", "10", cwd=tmp_path)
+    assert out.returncode == 0, out.stderr
+    manifest = (tmp_path / "sim.manifest.txt").read_text()
+    # unit symbol energy, and the receiver LinkConfig builds when not told otherwise
+    assert ocb.Constellation(alpha=cli._ALPHA).symbol_energy == pytest.approx(1.0, rel=1e-15)
+    assert f"\nalpha = {1.0 / 2.0 ** 0.5:.12g}\n" in manifest
+    default = linksim.LinkConfig(codec.hamming74(), codec.hamming74(),
+                                 alpha=1.0, sigma2=0.5, trials=1).stage2_input
+    assert f"\nstage2_input = {default}\n" in manifest
 
 
 @pytest.mark.parametrize("sigma2", ["nan", "inf", "-1"])

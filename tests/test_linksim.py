@@ -80,6 +80,30 @@ def test_config_refuses_an_infinite_alpha(sigma2):
 def test_gamma_is_the_symbol_snr():
     assert LinkConfig(HAM, HAM, alpha=INV2, sigma2=0.5, trials=1).gamma == pytest.approx(2.0)
     assert LinkConfig(HAM, HAM, alpha=1e200, sigma2=0.0, trials=1).gamma == np.inf
+    # alpha ** 2 underflows to 0 here, but 2 alpha^2 / sigma2 does not
+    assert LinkConfig(HAM, HAM, alpha=1e-200, sigma2=1e-300, trials=1).gamma == pytest.approx(2e-100, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "alpha,sigma2,want",
+    [
+        (1e-180, 1e-300, 2e-60),
+        (3e-163, 1e-200, 1.8e-125),  # alpha ** 2 = 9e-326 is below the least subnormal
+        (1e-170, 1e-310, 2e-30),  # and sigma2 is subnormal
+    ],
+)
+def test_gamma_when_alpha_squared_underflows(alpha, sigma2, want):
+    assert alpha * alpha == 0.0
+    assert LinkConfig(HAM, HAM, alpha=alpha, sigma2=sigma2, trials=1).gamma == pytest.approx(
+        want, rel=1e-12, abs=0.0)
+
+
+def test_gamma_prints_as_the_closed_form_on_the_noise_grid():
+    # alpha = 1/sqrt(2), sigma2 = 0.01 ... 3.00: the 12 digits sim.csv writes
+    for i in range(1, 301):
+        sigma2 = i / 100
+        got = LinkConfig(HAM, HAM, alpha=INV2, sigma2=sigma2, trials=1).gamma
+        assert f"{got:.12g}" == f"{2.0 * INV2 ** 2 / sigma2:.12g}", sigma2
 
 
 @pytest.mark.parametrize("code", [HAM, codec.ldpc_code(96)], ids=["hamming74", "ldpc96"])
