@@ -10,27 +10,35 @@ An alphabet is one ``PointSet``: K points as a (K, D) array, D = 1 (real
 amplitudes) or D = 2 (planar points), with their prior probabilities.
 
 The Gauss-Hermite quadrature, ``mi_awgn`` (deterministic, the default), is
-one kernel for D = 1 and D = 2. It works in noise units, so any noise
-variance is safe; from the point offsets s_l - s_k, differenced before they
-are scaled, so the geometry stays exact far from the origin and the noise
-stays exact next to any amplitude up to the SNR ceiling GAMMA_MAX; and from
-the split of the Gaussian exponent by dimension: one exponentiated (K, K, N)
-factor table per dimension, contracted over the points by one batched
-product for all K components, so its working set is O(K N^2). Its nodes are
-the roots of the Hermite polynomial H_N, found by Newton's method on the
-three-term recurrence from an asymptotic first guess, and its weights follow
-from H_{N-1} at the roots: no eigensolver, so no rate path calls LAPACK,
-whose threaded kernels would wake BLAS's worker pool.
+one kernel for D = 1 and D = 2. An alphabet is checked once, at the public
+boundary: ``mi_awgn`` takes a PointSet and a NoiseModel, leaves out points
+of zero prior, gives 0 bits for one distinct point, and hands plain arrays
+to ``_quadrature``, which checks nothing. The named curves ``mi_bpsk``,
+``mi_qpsk`` and ``stream_mi_ocb`` check their SNR or amplitude, then call
+``_quadrature`` directly on their fixed alphabets with the same arithmetic,
+so the rate audit's thousand-odd calls build no PointSet. The kernel works
+in noise units, so any noise variance is safe; from the point offsets
+s_l - s_k, differenced before they are scaled, so the geometry stays exact
+far from the origin and the noise stays exact next to any amplitude up to
+the SNR ceiling GAMMA_MAX; and from the split of the Gaussian exponent by
+dimension: one exponentiated (K, K, N) factor table per dimension,
+contracted over the points by one batched product for all K components, so
+its working set is O(K N^2). Its nodes are the roots of the Hermite
+polynomial H_N, found by Newton's method on the three-term recurrence from
+an asymptotic first guess, and its weights follow from H_{N-1} at the
+roots: no eigensolver, so no rate path calls LAPACK, whose threaded kernels
+would wake BLAS's worker pool.
 
 The seeded Monte Carlo estimator, used for cross-validation, takes each
 sample's information density as the ratio of its in-group and total sums of
 the max-shifted, exponentiated joint terms, so one estimator serves any
 grouping of the points. It does this arithmetic in cache-sized blocks of
 samples, finds each sample's point by counting cdf entries rather than by a
-search, and reduces without BLAS, so its working set is O(m) in the m
-samples of a chunk and its result does not depend on the block size. Its
-per-sample values overwrite the chunk's uniform draws, and the block tables
-are allocated once per estimate.
+search, gathers each sample's group term with one flat ``np.take``, and
+reduces without BLAS, so its working set is O(m) in the m samples of a
+chunk and its result does not depend on the block size. Its per-sample
+values overwrite the chunk's uniform draws, and the block tables are
+allocated once per estimate.
 Both backends leave points of zero prior out.
 """
 
@@ -61,6 +69,7 @@ MIN_MC_SAMPLES = 10_000
 GAMMA_MAX = 1e300
 
 _PROB_TOL = 1e-12
+_TINY = np.finfo(float).tiny
 # quadrature rounding stays near 1e-14 bits; anything past this is an error
 _CLIP_TOL = 1e-9
 _MC_CHUNK = 1_000_000
@@ -226,6 +235,33 @@ def _clip_bits(bits: float, size: int) -> float:
 def mi_awgn(alphabet: PointSet, noise: NoiseModel, order: int = DEFAULT_QUAD_ORDER) -> MiResult:
     """I(X;Y) for Y = X + N over a D = 1 or D = 2 alphabet, by Gauss-Hermite quadrature.
 
+    The checked entry: the alphabet and noise come as a PointSet and a
+    NoiseModel, points of zero prior are left out, and an alphabet of one
+    distinct point carries 0 bits; the rest is ``_quadrature``.
+    """
+    keep = alphabet.probs > 0.0
+    points, probs = alphabet.points[keep], alphabet.probs[keep]
+    if np.all(points == points[0]):
+        return MiResult(0.0)
+    return MiResult(_quadrature(points, probs, noise.sigma, order))
+
+
+@lru_cache(maxsize=None)
+def _unit_factor(k: int):
+    """The D = 1 alphabet's second dimension: a (K, K, 1) table of ones, no shift, weight 1."""
+    table, shift, weight = np.ones((k, k, 1)), np.zeros((k, 1, 1)), np.ones(1)
+    for arr in (table, shift, weight):
+        arr.flags.writeable = False
+    return table, shift, weight
+
+
+def _quadrature(points: np.ndarray, probs: np.ndarray, sigma: float, order: int) -> float:
+    """I(X;Y) in bits for (K, D) points with positive priors, at noise sigma per dimension.
+
+    The kernel behind ``mi_awgn`` and the named curves, which call it with
+    their own fixed alphabets; it checks nothing, so its callers pass at
+    least two distinct points, priors summing to 1 and a positive sigma.
+
     It works in noise units: the point offsets s_l - s_k are taken first and
     then divided by sqrt(2 sigma2), so they round as the plain differences do
     however far the alphabet sits from the origin, the noise has variance
@@ -233,7 +269,7 @@ def mi_awgn(alphabet: PointSet, noise: NoiseModel, order: int = DEFAULT_QUAD_ORD
     sigma2 a NoiseModel takes. With the mixture
     m(u) = sum_l pi_l exp(-|u - s_l|^2) in those units, and E_x[|x|^2] = D/2,
         I = -sum_k pi_k E_x[ln m(s_k + x) + |x|^2] / ln 2,
-    on a tensor rule of N^D nodes; points of zero prior are left out. With
+    on a tensor rule of N^D nodes. With
     o = s_l - s_k, the exponent -|x - o|^2 + |x|^2 is o . (2x - o), 0 for
     l = k, so I is not the difference of two numbers near D/2, and at low SNR
     it rounds several times less. The term at s_k + (x_i, x_j) is
@@ -250,11 +286,7 @@ def mi_awgn(alphabet: PointSet, noise: NoiseModel, order: int = DEFAULT_QUAD_ORD
     normal float. Those nodes weigh w_i w_j < exp(-708) (w exp(x^2) < 1 at
     every order), so the clamp moves I by less than 1e-300 bits.
     """
-    keep = alphabet.probs > 0.0
-    points, probs = alphabet.points[keep], alphabet.probs[keep]
-    if np.all(points == points[0]):
-        return MiResult(0.0)
-    scale = np.sqrt(0.5) * noise.sigma  # sqrt(2 sigma2) / 2; 2 sigma2 itself can overflow
+    scale = np.sqrt(0.5) * sigma  # sqrt(2 sigma2) / 2; 2 sigma2 itself can overflow
     x, w = _gh_nodes(order)
     k, dims = points.shape
     factors = []  # per dimension: the (K, K, N) table, its (K, 1, N) shift, the weights
@@ -263,16 +295,17 @@ def mi_awgn(alphabet: PointSet, noise: NoiseModel, order: int = DEFAULT_QUAD_ORD
         expo = (2.0 * x - offsets) * offsets
         shift = expo.max(axis=1, keepdims=True)
         factors.append((np.exp(np.subtract(expo, shift, out=expo), out=expo), shift, w))
-    factors += [(np.ones((k, k, 1)), np.zeros((k, 1, 1)), np.ones(1))] * (2 - dims)
+    if dims == 1:
+        factors.append(_unit_factor(k))
     (a, shift_a, w_a), (b, shift_b, w_b) = factors
     a *= probs[:, None]  # the prior, along the point axis l
     mix = np.matmul(a.transpose(0, 2, 1), b)
-    lnp = np.log(np.maximum(mix, np.finfo(float).tiny, out=mix), out=mix)
+    lnp = np.log(np.maximum(mix, _TINY, out=mix), out=mix)
     lnp += shift_a.transpose(0, 2, 1)
     lnp += shift_b
     lnp = lnp @ w_b @ w_a
     bits = -float(probs @ lnp) / np.pi ** (0.5 * dims) / LN2
-    return MiResult(_clip_bits(bits, k))
+    return _clip_bits(bits, k)
 
 
 # the benchmark's replay still calls the two names the kernel had per dimension
@@ -337,7 +370,9 @@ def mi_monte_carlo_grouped(alphabet: PointSet, groups, noise: NoiseModel, sample
     since the shift and the Gaussian normalisation cancel in the ratio. Every
     operation is per sample, so the values do not depend on the block size.
     The group sum adds the group's rows in ascending point order, which is
-    the masked column sum over all K rows less its exact zeros.
+    the masked column sum over all K rows less its exact zeros; where every
+    group holds one point, its sum is that point's row of E, read in place.
+    Each sample's sum is then one flat ``np.take`` at row * width + lane.
     Chunks merge by Chan et al.'s update, and no reduction calls BLAS, whose
     threaded dot product would wake its worker pool. The working set is
     O(m), and no chunk-sized array is allocated beyond the draws' one: each
@@ -359,11 +394,14 @@ def mi_monte_carlo_grouped(alphabet: PointSet, groups, noise: NoiseModel, sample
     cdf = np.cumsum(probs)
     cdf /= cdf[-1]
     members = [np.flatnonzero(group_of == g) for g in range(ln_pg.size)]
+    singletons = ln_pg.size == points.shape[0]
     rng = np.random.default_rng(seed)
     sigma = noise.sigma
     width = min(samples, _MC_BLOCK)
     # the exponent table, and the terms of a further dimension, then the group sums
     expo_table, term_table = np.empty((2, points.shape[0], width))
+    # the flat table a sample's group sum is gathered from: the group sums, or E itself
+    sums = (expo_table if singletons else term_table).reshape(-1)
 
     def chunks():
         left = samples
@@ -379,18 +417,27 @@ def mi_monte_carlo_grouped(alphabet: PointSet, groups, noise: NoiseModel, sample
                 blk = slice(lo, lo + _MC_BLOCK)
                 k = _point_index(cdf, values[blk])
                 n = k.size
-                ys = [c[k] + d[blk] for c, d in zip(points.T, draws)]
+                ys = [np.take(c, k) + d[blk] for c, d in zip(points.T, draws)]
                 expo = _log_joint(ys, points, probs, noise.sigma2, expo_table[:, :n], term_table[:, :n])
+                del ys  # spent: freed before the gather allocates
                 expo -= expo.max(axis=0)
                 np.exp(expo, out=expo)
                 total = expo.sum(axis=0)
-                group_sum = term_table[:, :n]
-                for g, rows in enumerate(members):
-                    np.copyto(group_sum[g], expo[rows[0]])
-                    for row in rows[1:]:
-                        group_sum[g] += expo[row]
-                g = group_of[k]
-                values[blk] = (np.log(group_sum[g, np.arange(n)] / total) - ln_pg[g]) / LN2
+                g = np.take(group_of, k)
+                if not singletons:
+                    group_sum = term_table[:, :n]
+                    for row_g, rows in enumerate(members):
+                        np.copyto(group_sum[row_g], expo[rows[0]])
+                        for row in rows[1:]:
+                            group_sum[row_g] += expo[row]
+                # the flat index overwrites the spent point indices, the values the uniforms
+                at = np.multiply(k if singletons else g, width, out=k)
+                at += np.arange(n)
+                term = np.take(sums, at, out=values[blk])
+                term /= total
+                np.log(term, out=term)
+                term -= np.take(ln_pg, g)
+                term /= LN2
             yield values, draws[0]
             left -= m
 
@@ -415,32 +462,34 @@ def check_gamma(gamma: float) -> None:
         raise ValueError(f"gamma must be in [0, {GAMMA_MAX:g}], got {gamma}")
 
 
-def _bpsk_points(gamma: float) -> PointSet:
+# the named curves' uniform priors; the kernel only reads them
+_HALVES = np.full(2, 0.5)
+_QUARTERS = np.full(4, 0.25)
+_HALVES.flags.writeable = _QUARTERS.flags.writeable = False
+
+
+def _bpsk_bits(gamma: float, order: int) -> float:
+    """BPSK at symbol SNR gamma and unit noise: the points -sqrt(gamma), sqrt(gamma)."""
     a = np.sqrt(gamma)
-    return PointSet.uniform([-a, a])
-
-
-def _qpsk_points(gamma: float) -> PointSet:
-    # axis-aligned four points with symbol energy gamma (sigma2 = 1)
-    c = np.sqrt(gamma / 2.0)
-    return PointSet.uniform([(c, c), (c, -c), (-c, c), (-c, -c)])
-
-
-def _ocb_points(alpha: float) -> PointSet:
-    amp = np.sqrt(2.0) * alpha
-    return PointSet.uniform([(amp, 0.0), (0.0, amp), (-amp, 0.0), (0.0, -amp)])
+    if a == 0.0:  # one distinct point
+        return 0.0
+    return _quadrature(np.array([[-a], [a]]), _HALVES, 1.0, order)
 
 
 def mi_bpsk(gamma: float, order: int = DEFAULT_QUAD_ORDER) -> float:
     """BPSK mutual information as a function of gamma = E_s / sigma2 alone."""
     check_gamma(gamma)
-    return mi_awgn(_bpsk_points(gamma), NoiseModel(1.0), order).bits
+    return _bpsk_bits(gamma, order)
 
 
 def mi_qpsk(gamma: float, order: int = DEFAULT_QUAD_ORDER) -> float:
     """QPSK mutual information as a function of gamma = E_s / sigma2 alone."""
     check_gamma(gamma)
-    return mi_awgn(_qpsk_points(gamma), NoiseModel(1.0), order).bits
+    # axis-aligned four points with symbol energy gamma (sigma2 = 1)
+    c = np.sqrt(gamma / 2.0)
+    if c == 0.0:  # one distinct point
+        return 0.0
+    return _quadrature(np.array([(c, c), (c, -c), (-c, c), (-c, -c)]), _QUARTERS, 1.0, order)
 
 
 def stream_mi_ocb(alpha: float, noise: NoiseModel, order: int = DEFAULT_QUAD_ORDER) -> tuple[float, float]:
@@ -457,8 +506,10 @@ def stream_mi_ocb(alpha: float, noise: NoiseModel, order: int = DEFAULT_QUAD_ORD
         raise ValueError(f"alpha must be positive with 2 alpha^2 and 2 alpha^2 / sigma2 "
                          f"at most {GAMMA_MAX:g}, got {alpha}")
     gamma = 2.0 * alpha * alpha / noise.sigma2
-    i_joint = mi_awgn(_ocb_points(alpha), noise, order).bits
+    amp = np.sqrt(2.0) * alpha  # positive, so the four points are distinct
+    points = np.array([(amp, 0.0), (0.0, amp), (-amp, 0.0), (0.0, -amp)])
+    i_joint = _quadrature(points, _QUARTERS, noise.sigma, order)
     # not mi_bpsk: at alpha = sqrt(GAMMA_MAX / 2), gamma rounds one unit past the ceiling
-    i_v2_given_v1 = mi_awgn(_bpsk_points(gamma), NoiseModel(1.0), order).bits
+    i_v2_given_v1 = _bpsk_bits(gamma, order)
     i_v1 = max(i_joint - i_v2_given_v1, 0.0)
     return i_v1, i_v2_given_v1

@@ -431,15 +431,26 @@ def _gap_table(rep: _Report, opt: dict, interval: rates.ClaimInterval) -> None:
     rep.note("")
 
 
+def _claim_interval(opt: dict) -> rates.ClaimInterval:
+    """The claim interval at --gap-threshold, refusing a threshold below the search's reach."""
+    threshold, order = opt["gap_threshold"], opt["quad_order"]
+    floor = rates.claimed_gap(rates.CLAIM_GAMMA_LO, order)
+    if threshold < floor:
+        raise ValueError(f"--gap-threshold must be at least {floor} bits, the claimed gap at "
+                         f"gamma = {rates.CLAIM_GAMMA_LO:g} where the claim search starts; got {threshold:g}")
+    return rates.find_claim_interval(threshold, order=order)
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     opt = _options(args, _VERIFY_DEFAULTS)
+    # the search first: a threshold it cannot place is refused before the costly checks run
+    interval = _claim_interval(opt)
     rep = _Report()
     _verify_identities(rep, opt)
     _verify_backends(rep, opt, args.seed)
     _verify_subadditivity(rep, opt)
     _verify_geometry(rep)
     _verify_genie_link(rep, opt, args.seed, args.threads)
-    interval = rates.find_claim_interval(opt["gap_threshold"], order=opt["quad_order"])
     rep.check(
         "claim_interval_nonempty",
         -(interval.gamma_hi - interval.gamma_lo),

@@ -107,9 +107,9 @@ def rate_ocb_claimed(gamma: float, order: int = DEFAULT_QUAD_ORDER) -> float:
 def rate_ocb_exact(gamma: float, order: int = DEFAULT_QUAD_ORDER) -> tuple[float, float, float]:
     """Exact chain-rule stream rates (i_v1, i_v2, total) at symbol SNR gamma."""
     check_gamma(gamma)
-    if gamma == 0.0:
-        return 0.0, 0.0, 0.0
     alpha = np.sqrt(gamma / 2.0)  # sigma2 = 1, so 2 alpha^2 / sigma2 = gamma
+    if alpha == 0.0:  # gamma = 0, or the smallest subnormal, whose half rounds to 0
+        return 0.0, 0.0, 0.0
     i_v1, i_v2 = stream_mi_ocb(alpha, NoiseModel(1.0), order)
     return i_v1, i_v2, i_v1 + i_v2
 
@@ -168,6 +168,12 @@ def claimed_gap(gamma: float, order: int = DEFAULT_QUAD_ORDER) -> float:
     return mi_bpsk(gamma, order) - mi_bpsk(gamma / 2.0, order)
 
 
+# the claim search's default bracket in gamma; its gap at the lower end is
+# the smallest threshold the search can place
+CLAIM_GAMMA_LO = 1e-3
+CLAIM_GAMMA_HI = 1e4
+
+
 @dataclass(frozen=True)
 class ClaimInterval:
     """Where the claimed composite rate exceeds QPSK by more than a threshold."""
@@ -197,8 +203,8 @@ def _bisect(f, lo: float, hi: float) -> float:
 
 def find_claim_interval(
     threshold: float = 0.01,
-    gamma_lo: float = 1e-3,
-    gamma_hi: float = 1e4,
+    gamma_lo: float = CLAIM_GAMMA_LO,
+    gamma_hi: float = CLAIM_GAMMA_HI,
     order: int = DEFAULT_QUAD_ORDER,
 ) -> ClaimInterval:
     """Where claimed_gap exceeds ``threshold`` bits, by three bisections in log gamma.

@@ -262,6 +262,49 @@ def test_named_curves_at_the_snr_ceiling():
     assert abs(i_v1 - 1.0) < 1e-12 and abs(i_v2 - 1.0) < 1e-12
 
 
+# the named curves call the quadrature kernel on their own arrays; the checked
+# entry on the matching PointSet and NoiseModel must give the same bits
+SPLIT_GAMMAS = [0.0, 5e-324, 1e-300, 1e-3, 0.5, 2.096, 40.0, 1e6, 1e300]
+
+
+@pytest.mark.parametrize("order", [16, 64, 128, 370])
+@pytest.mark.parametrize("gamma", SPLIT_GAMMAS)
+def test_named_curves_are_the_checked_entry_bit_for_bit(gamma, order):
+    unit = ai.NoiseModel(1.0)
+    a, c = np.sqrt(gamma), np.sqrt(gamma / 2.0)
+    bpsk = ai.mi_awgn(ai.PointSet.uniform([-a, a]), unit, order).bits
+    qpsk = ai.mi_awgn(ai.PointSet.uniform([(c, c), (c, -c), (-c, c), (-c, -c)]), unit, order).bits
+    assert ai.mi_bpsk(gamma, order) == bpsk
+    assert ai.mi_qpsk(gamma, order) == qpsk
+
+
+@pytest.mark.parametrize("order", [16, 64, 128, 370])
+@pytest.mark.parametrize("sigma2", [1.0, 0.35])
+@pytest.mark.parametrize("gamma", [g for g in SPLIT_GAMMAS if g >= 1e-300])
+def test_stream_split_is_the_checked_entry_bit_for_bit(gamma, sigma2, order):
+    noise = ai.NoiseModel(sigma2)
+    alpha = np.sqrt(gamma * min(1.0, sigma2) / 2.0)
+    amp = np.sqrt(2.0) * alpha
+    joint = ai.mi_awgn(ai.PointSet.uniform([(amp, 0.0), (0.0, amp), (-amp, 0.0), (0.0, -amp)]), noise, order)
+    b = np.sqrt(2.0 * alpha * alpha / sigma2)
+    sign = ai.mi_awgn(ai.PointSet.uniform([-b, b]), ai.NoiseModel(1.0), order).bits
+    assert ai.stream_mi_ocb(alpha, noise, order) == (max(joint.bits - sign, 0.0), sign)
+
+
+@pytest.mark.parametrize("gamma", [np.nan, np.inf, -np.inf, -1.0, -5e-324, np.nextafter(ai.GAMMA_MAX, np.inf)])
+def test_named_curves_still_refuse_a_bad_snr(gamma):
+    for curve in (ai.mi_bpsk, ai.mi_qpsk):
+        with pytest.raises(ValueError, match="gamma must be in"):
+            curve(gamma)
+
+
+@pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf, -1.0, 0.0,
+                                   np.nextafter(np.sqrt(0.5 * ai.GAMMA_MAX), np.inf)])
+def test_stream_split_still_refuses_a_bad_amplitude(alpha):
+    with pytest.raises(ValueError, match="alpha must be positive"):
+        ai.stream_mi_ocb(alpha, ai.NoiseModel(1.0))
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("sigma2,bits", [(1e306, 0.0), (1.7e308, 0.0), (1e-300, 1.0)])
 def test_quadrature_at_the_extremes_of_the_noise_variance(sigma2, bits):
@@ -678,6 +721,8 @@ def _whole_chunk_monte_carlo(points, probs, groups, sigma2, samples, seed, chunk
 
 MC_CASES = {
     "bpsk": ([1.0, -1.0], [0, 1]),
+    # group rows differ from point rows, and the grouping is not all singletons
+    "1d-k3-grouped": ([-1.0, 0.5, 1.5], [0, 1, 1]),
     "qpsk": ([(0.8, 0.8), (-0.8, 0.8), (0.8, -0.8), (-0.8, -0.8)], [0, 1, 2, 3]),
     "axis-grouping": ([(1.2, 0.0), (0.0, 1.2), (-1.2, 0.0), (0.0, -1.2)], [0, 1, 0, 1]),
 }
@@ -701,6 +746,19 @@ def test_monte_carlo_is_bit_identical_across_chunks(monkeypatch):
     got = ai.mi_monte_carlo_grouped(ai.PointSet(np.array(points), probs), np.array(groups),
                                     ai.NoiseModel(0.6), 20_000, 11)
     assert (got.bits, got.stderr) == _whole_chunk_monte_carlo(points, probs, groups, 0.6, 20_000, 11, 7_000)
+
+
+@pytest.mark.parametrize("case", ["qpsk", "1d-k3-grouped"])
+def test_monte_carlo_is_bit_identical_with_a_partial_last_block(case):
+    # two full blocks, then one of 3 lanes
+    points, groups = MC_CASES[case]
+    probs = np.linspace(1.0, 2.0, len(groups))
+    probs /= probs.sum()
+    samples = 2 * ai._MC_BLOCK + 3
+    got = ai.mi_monte_carlo_grouped(ai.PointSet(np.array(points), probs), np.array(groups),
+                                    ai.NoiseModel(0.8), samples, 21)
+    want = _whole_chunk_monte_carlo(points, probs, groups, 0.8, samples, 21, ai._MC_CHUNK)
+    assert (got.bits, got.stderr) == want
 
 
 def test_mc_sample_stats_leave_their_chunks_unchanged():

@@ -130,6 +130,16 @@ def test_curves_single_point(tmp_path):
     assert len(lines) == 2
 
 
+def test_curves_at_the_smallest_subnormal_snr(tmp_path):
+    from ocbsim import cli
+
+    argv = ["curves", "--points", "2", "--gamma-min", "5e-324", "--gamma-max", "1", "--out", str(tmp_path)]
+    assert cli.main(argv) == 0
+    rows = (tmp_path / "curves.csv").read_text().splitlines()
+    assert len(rows) == 3
+    assert rows[1] == "4.94065645841e-324" + ",0" * (len(CSV_COLUMNS) - 1)
+
+
 def test_curves_outputs_are_byte_stable(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     a.mkdir(), b.mkdir()
@@ -532,6 +542,20 @@ def test_verify_gap_threshold_above_the_peak_is_the_searchs_error(tmp_path, caps
             "--mc-tol", "0.05", "--gap-threshold", "0.5", "--out", str(tmp_path)]
     assert cli.main(argv) == 2
     assert "gap never exceeds threshold 0.5" in capsys.readouterr().err
+    assert not (tmp_path / "verify.txt").exists()
+
+
+def test_verify_gap_threshold_below_the_searchs_reach_is_refused_first(tmp_path, capsys, monkeypatch):
+    # the claimed gap at the search's lower end, gamma = 1e-3, is about 3.6e-4 bits
+    from ocbsim import awgn_info, cli
+
+    def no_monte_carlo(*args):
+        raise AssertionError("Monte Carlo ran before the threshold was refused")
+
+    monkeypatch.setattr(awgn_info, "mi_monte_carlo_grouped", no_monte_carlo)
+    assert cli.main(["verify", "--gap-threshold", "1e-4", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "--gap-threshold must be at least 0.00036" in err
     assert not (tmp_path / "verify.txt").exists()
 
 

@@ -42,6 +42,14 @@ def test_exact_accounting_at_zero_and_negative_snr():
         rates.rate_ocb_exact(-1.0)
 
 
+def test_rate_row_at_the_smallest_subnormal_snr_is_the_zero_limit():
+    # gamma / 2 rounds to 0 there, so the four-point set has no amplitude left
+    row = rates.rate_row(5e-324)
+    assert row.gamma == 5e-324
+    assert row.as_csv_values()[1:] == (0.0,) * (len(CSV_COLUMNS) - 1)
+    assert rates.rate_ocb_exact(1e-323) == (0.0, 0.0, 0.0)  # the next float: alpha > 0, rates round to 0
+
+
 @pytest.mark.parametrize("gamma", [1e308, np.inf, np.nan])
 @pytest.mark.parametrize("entry", [
     rates.rate_row,
