@@ -14,10 +14,13 @@ Frames run in blocks of about BLOCK_SYMBOLS symbols (16384: 16 frames of
 ldpc1024, 2340 of hamming74). A block builds no per-frame generator
 objects: _pcg64_seeds hashes the frames' SeedSequences into PCG64 states
 with array arithmetic, one pass for each run of ids with the same number
-of 32-bit words, and one PCG64 is set to each frame's state in turn for
-that frame's draws. Everything after the draws (encoding, mapping,
-demapping, decoding, tallying) runs on (T, M) arrays of the block's T
-frames at once.
+of 32-bit words. One PCG64 is set to each frame's state in turn, through one
+reused state dict, for that frame's draws: one random_raw for its source
+bits and one standard_normal drawn into its row of the block's noise. The
+block's noise is then scaled by sigma once, and + 0.0 reproduces normal's
+0 + sigma z (+0.0 where sigma z is -0.0). Everything after the draws
+(encoding, mapping, demapping, decoding, tallying) runs on (T, M) arrays of
+the block's T frames at once.
 A frame's result does not depend on the block it lands in, so the block
 size changes speed and memory, not tallies. Larger blocks spread the
 per-call cost of each BP iteration over more frames; a block of 16 ldpc1024
@@ -270,7 +273,11 @@ def transmit_block(cfg: LinkConfig, trials: range) -> TxBlock:
     of the bytes of successive little-endian uint32 halves of the generator's
     64-bit outputs, ceil(K/4) words per stream (numpy's bounded uint8 draw
     never rejects at range 2), and one normal call of 2M values equals the
-    two calls of M; so each frame takes one random_raw and one normal call.
+    two calls of M, which return 0 + sigma z for the z that standard_normal
+    draws. So each frame sets one reused state dict, takes one random_raw
+    into its raw row and one standard_normal fill into its noise row; the
+    block is then scaled by sigma once, and + 0.0 reproduces normal's 0 +
+    sigma z, which is +0.0 where sigma z is -0.0 (at sigma2 = 0).
     """
     sigma = np.sqrt(cfg.sigma2)
     k1, k2, m = cfg.code1.K, cfg.code2.K, cfg.code1.M
@@ -279,11 +286,14 @@ def transmit_block(cfg: LinkConfig, trials: range) -> TxBlock:
     noise = np.empty((len(trials), 2 * m))
     bitgen = np.random.PCG64(0)
     rng = np.random.Generator(bitgen)
-    for i, (state, inc) in enumerate(_pcg64_seeds(cfg.seed, trials)):
-        bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                        "has_uint32": 0, "uinteger": 0}
+    seeded = {"state": 0, "inc": 0}
+    state = {"bit_generator": "PCG64", "state": seeded, "has_uint32": 0, "uinteger": 0}
+    for i, (seeded["state"], seeded["inc"]) in enumerate(_pcg64_seeds(cfg.seed, trials)):
+        bitgen.state = state
         raw[i] = bitgen.random_raw(raw.shape[1])
-        noise[i] = rng.normal(0.0, sigma, 2 * m)
+        rng.standard_normal(out=noise[i])
+    noise *= sigma
+    noise += 0.0
     top = raw.astype("<u8", copy=False).view(np.uint8) >> 7
     c1 = np.ascontiguousarray(top[:, :k1])
     c2 = np.ascontiguousarray(top[:, 4 * w1:4 * w1 + k2])

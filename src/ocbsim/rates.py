@@ -172,6 +172,9 @@ def claimed_gap(gamma: float, order: int = DEFAULT_QUAD_ORDER) -> float:
 # the smallest threshold the search can place
 CLAIM_GAMMA_LO = 1e-3
 CLAIM_GAMMA_HI = 1e4
+# the lowest bracket end the search accepts: below it the gap, about
+# gamma / (4 ln 2) bits, sinks under the quadrature's rounding
+CLAIM_GAMMA_FLOOR = 1e-10
 
 
 @dataclass(frozen=True)
@@ -214,11 +217,15 @@ def find_claim_interval(
     / r), r = 1 + 1e-6, over the whole bracket: the difference is symmetric in
     log gamma, so its root is the peak to O((r - 1)^2). Each endpoint is the
     root of claimed_gap - threshold on its own side of the peak, so the bracket
-    must hold both crossings. Below gamma ~ 1e-10 the gap (gamma / 4 ln 2
-    bits) sinks under the quadrature's rounding, so gamma_lo belongs above.
+    must hold both crossings. A gamma_lo below CLAIM_GAMMA_FLOOR is refused:
+    there the gap's sign test reads rounding, not the gap.
     """
     if not 0.0 < gamma_lo < gamma_hi <= GAMMA_MAX:
         raise ValueError(f"need 0 < gamma_lo < gamma_hi <= {GAMMA_MAX:g}, got [{gamma_lo}, {gamma_hi}]")
+    if gamma_lo < CLAIM_GAMMA_FLOOR:
+        raise ValueError(f"gamma_lo must be at least {CLAIM_GAMMA_FLOOR:g}, the rounding floor: below it "
+                         f"the gap, about gamma / (4 ln 2) bits, sinks under the quadrature's rounding; "
+                         f"got {gamma_lo:g}")
 
     def excess(g):
         return claimed_gap(g, order) - threshold

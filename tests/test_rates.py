@@ -241,7 +241,7 @@ def test_peak_search_sign_holds_on_either_side_of_the_peak():
 
 def test_claim_interval_does_not_depend_on_the_bracket():
     ref = rates.find_claim_interval()
-    for lo, hi in [(1e-2, 1e2), (1e-3, 1e6)]:
+    for lo, hi in [(1e-2, 1e2), (1e-3, 1e6), (rates.CLAIM_GAMMA_FLOOR, 1e4)]:
         ci = rates.find_claim_interval(gamma_lo=lo, gamma_hi=hi)
         assert ci.gamma_lo == pytest.approx(ref.gamma_lo, rel=1e-14, abs=0.0)
         assert ci.gamma_hi == pytest.approx(ref.gamma_hi, rel=1e-14, abs=0.0)
@@ -264,3 +264,12 @@ def test_claim_interval_search_cost(monkeypatch):
 def test_claim_interval_refuses_a_bad_bracket(gamma_lo, gamma_hi):
     with pytest.raises(ValueError, match="need 0 < gamma_lo < gamma_hi"):
         rates.find_claim_interval(gamma_lo=gamma_lo, gamma_hi=gamma_hi)
+
+
+# below the floor the gap's sign test reads rounding, so a search from there
+# fails or succeeds by chance
+@pytest.mark.parametrize("gamma_lo", [np.nextafter(rates.CLAIM_GAMMA_FLOOR, 0.0), 1e-11, 1e-12, 1e-20,
+                                      1e-300, 5e-324])
+def test_claim_interval_refuses_a_bracket_below_the_rounding_floor(gamma_lo):
+    with pytest.raises(ValueError, match="at least 1e-10, the rounding floor"):
+        rates.find_claim_interval(gamma_lo=gamma_lo)
