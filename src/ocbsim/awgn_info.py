@@ -92,17 +92,6 @@ class NoiseModel:
         return float(np.sqrt(self.sigma2))
 
 
-def _check_probs(points: np.ndarray, probs: np.ndarray) -> None:
-    if points.shape[0] == 0:
-        raise ValueError("alphabet must contain at least one point")
-    if points.shape[0] != probs.shape[0]:
-        raise ValueError("points and probs must have the same length")
-    if np.any(probs < 0.0):
-        raise ValueError("probabilities must be nonnegative")
-    if abs(float(probs.sum()) - 1.0) > _PROB_TOL:
-        raise ValueError(f"probabilities must sum to 1, got {probs.sum()!r}")
-
-
 @dataclass(frozen=True, eq=False)
 class PointSet:
     """Input alphabet: K points in D = 1 or 2 real dimensions with priors.
@@ -120,9 +109,17 @@ class PointSet:
             pts = pts[:, None]
         if pts.ndim != 2 or pts.shape[1] not in (1, 2):
             raise ValueError(f"alphabet points must have shape (K,), (K, 1) or (K, 2), got {pts.shape}")
+        probs = np.asarray(self.probs, dtype=float).reshape(-1)
+        if pts.shape[0] == 0:
+            raise ValueError("alphabet must contain at least one point")
+        if pts.shape[0] != probs.shape[0]:
+            raise ValueError("points and probs must have the same length")
+        if np.any(probs < 0.0):
+            raise ValueError("probabilities must be nonnegative")
+        if abs(float(probs.sum()) - 1.0) > _PROB_TOL:
+            raise ValueError(f"probabilities must sum to 1, got {probs.sum()!r}")
         object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "probs", np.asarray(self.probs, dtype=float).reshape(-1))
-        _check_probs(self.points, self.probs)
+        object.__setattr__(self, "probs", probs)
 
     @classmethod
     def uniform(cls, points) -> "PointSet":
@@ -201,25 +198,18 @@ def _gh_nodes(order: int):
     return x, w
 
 
-def _log_terms(y: np.ndarray, coords: np.ndarray, sigma2: float, out: np.ndarray, log_probs=None) -> np.ndarray:
-    """-(y_i - c_l)^2 / (2 sigma2) [+ ln pi_l] into the (K, n) array out."""
-    expo = np.subtract(y, coords[:, None], out=out)
-    expo *= expo
-    expo /= -2.0 * sigma2
-    if log_probs is not None:
-        expo += log_probs[:, None]
-    return expo
-
-
 def _log_joint(coords, points: np.ndarray, probs: np.ndarray, sigma2: float, out, scratch) -> np.ndarray:
     """ln pi_l - |y - s_l|^2 / (2 sigma2), alphabet axis l first; one array of y per dimension.
 
-    Written into out; scratch, of the same shape, takes each further dimension's terms.
+    Written into out, the first dimension's terms plus ln pi_l, then the
+    second's; scratch, of the same shape, takes the second dimension's terms.
     """
-    expo = _log_terms(coords[0], points[:, 0], sigma2, out, np.log(probs))
-    for y, c in zip(coords[1:], points.T[1:]):
-        expo += _log_terms(y, c, sigma2, scratch)
-    return expo
+    for y, c, terms in zip(coords, points.T, (out, scratch)):
+        np.subtract(y, c[:, None], out=terms)
+        terms *= terms
+        terms /= -2.0 * sigma2
+        out += np.log(probs)[:, None] if terms is out else terms
+    return out
 
 
 def _clip_bits(bits: float, size: int) -> float:
@@ -370,17 +360,17 @@ def mi_monte_carlo_grouped(alphabet: PointSet, groups, noise: NoiseModel, sample
     since the shift and the Gaussian normalisation cancel in the ratio. Every
     operation is per sample, so the values do not depend on the block size.
     The group sum adds the group's rows in ascending point order, which is
-    the masked column sum over all K rows less its exact zeros; where every
-    group holds one point, its sum is that point's row of E, read in place.
-    Each sample's sum is then one flat ``np.take`` at row * width + lane.
-    Chunks merge by Chan et al.'s update, and no reduction calls BLAS, whose
-    threaded dot product would wake its worker pool. The working set is
-    O(m), and no chunk-sized array is allocated beyond the draws' one: each
-    block's values overwrite its uniforms once they are read, and the
-    deviations from the mean overwrite the first noise draws. The two
-    (K, block) tables are allocated once per estimate. One allocation a
-    chunk is also one the allocator can keep for the next estimate, which
-    then touches no fresh pages. A degenerate alphabet yields exactly 0 +/- 0.
+    the masked column sum over all K rows less its exact zeros; a group of
+    one point copies that point's row of E. Each sample's sum is then one
+    flat ``np.take`` at row * width + lane. Chunks merge by Chan et al.'s
+    update, and no reduction calls BLAS, whose threaded dot product would
+    wake its worker pool. The working set is O(m), and no chunk-sized array
+    is allocated beyond the draws' one: each block's values overwrite its
+    uniforms once they are read, and the deviations from the mean overwrite
+    the first noise draws. The two (K, block) tables are allocated once per
+    estimate. One allocation a chunk is also one the allocator can keep for
+    the next estimate, which then touches no fresh pages. A degenerate
+    alphabet yields exactly 0 +/- 0.
     """
     if samples < MIN_MC_SAMPLES:
         raise ValueError(f"samples must be at least {MIN_MC_SAMPLES}, got {samples}")
@@ -394,14 +384,12 @@ def mi_monte_carlo_grouped(alphabet: PointSet, groups, noise: NoiseModel, sample
     cdf = np.cumsum(probs)
     cdf /= cdf[-1]
     members = [np.flatnonzero(group_of == g) for g in range(ln_pg.size)]
-    singletons = ln_pg.size == points.shape[0]
     rng = np.random.default_rng(seed)
     sigma = noise.sigma
     width = min(samples, _MC_BLOCK)
     # the exponent table, and the terms of a further dimension, then the group sums
     expo_table, term_table = np.empty((2, points.shape[0], width))
-    # the flat table a sample's group sum is gathered from: the group sums, or E itself
-    sums = (expo_table if singletons else term_table).reshape(-1)
+    sums = term_table.reshape(-1)  # the flat table a sample's group sum is gathered from
 
     def chunks():
         left = samples
@@ -424,14 +412,13 @@ def mi_monte_carlo_grouped(alphabet: PointSet, groups, noise: NoiseModel, sample
                 np.exp(expo, out=expo)
                 total = expo.sum(axis=0)
                 g = np.take(group_of, k)
-                if not singletons:
-                    group_sum = term_table[:, :n]
-                    for row_g, rows in enumerate(members):
-                        np.copyto(group_sum[row_g], expo[rows[0]])
-                        for row in rows[1:]:
-                            group_sum[row_g] += expo[row]
+                group_sum = term_table[:, :n]
+                for row_g, rows in enumerate(members):
+                    np.copyto(group_sum[row_g], expo[rows[0]])
+                    for row in rows[1:]:
+                        group_sum[row_g] += expo[row]
                 # the flat index overwrites the spent point indices, the values the uniforms
-                at = np.multiply(k if singletons else g, width, out=k)
+                at = np.multiply(g, width, out=k)
                 at += np.arange(n)
                 term = np.take(sums, at, out=values[blk])
                 term /= total

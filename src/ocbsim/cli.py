@@ -51,10 +51,6 @@ def _csv_line(values) -> str:
     return ",".join(_fmt(v) for v in values)
 
 
-class ConfigError(Exception):
-    pass
-
-
 class _IOFailure(Exception):
     pass
 
@@ -75,11 +71,11 @@ def _config_flags(path: str, keys) -> list:
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError(f"{path}:{ln}: expected 'key = value', got {raw!r}")
+            raise ValueError(f"{path}:{ln}: expected 'key = value', got {raw!r}")
         key, _, val = line.partition("=")
         key = key.strip().replace("-", "_")
         if key not in keys:
-            raise ConfigError(f"unknown config key {key!r}")
+            raise ValueError(f"unknown config key {key!r}")
         flags.append(f"--{key.replace('_', '-')}={val.strip()}")
     return flags
 
@@ -96,7 +92,7 @@ def _bool_opt(raw: str) -> bool:
         return True
     if low in ("0", "false", "no", "off"):
         return False
-    raise ValueError(f"expected a boolean, got {raw!r}")
+    raise argparse.ArgumentTypeError(f"expected a boolean, got {raw!r}")
 
 
 def _int_in(lo: int, hi: float = float("inf")):
@@ -127,9 +123,12 @@ def _float_in(lo: float, open_ends: bool = False):
 
 
 def _float_list(raw: str) -> tuple:
-    vals = tuple(float(tok) for tok in raw.split(",") if tok.strip())
+    try:
+        vals = tuple(float(tok) for tok in raw.split(",") if tok.strip())
+    except ValueError:
+        vals = ()
     if not vals:
-        raise ValueError("expected a comma-separated list of numbers")
+        raise argparse.ArgumentTypeError(f"expected a comma-separated list of numbers, got {raw!r}")
     return vals
 
 
@@ -431,20 +430,10 @@ def _gap_table(rep: _Report, opt: dict, interval: rates.ClaimInterval) -> None:
     rep.note("")
 
 
-def _claim_interval(opt: dict) -> rates.ClaimInterval:
-    """The claim interval at --gap-threshold, refusing a threshold below the search's reach."""
-    threshold, order = opt["gap_threshold"], opt["quad_order"]
-    floor = rates.claimed_gap(rates.CLAIM_GAMMA_LO, order)
-    if threshold < floor:
-        raise ValueError(f"--gap-threshold must be at least {floor} bits, the claimed gap at "
-                         f"gamma = {rates.CLAIM_GAMMA_LO:g} where the claim search starts; got {threshold:g}")
-    return rates.find_claim_interval(threshold, order=order)
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
     opt = _options(args, _VERIFY_DEFAULTS)
     # the search first: a threshold it cannot place is refused before the costly checks run
-    interval = _claim_interval(opt)
+    interval = rates.find_claim_interval(opt["gap_threshold"], order=opt["quad_order"])
     rep = _Report()
     _verify_identities(rep, opt)
     _verify_backends(rep, opt, args.seed)
@@ -560,7 +549,7 @@ def main(argv=None) -> int:
     except _IOFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

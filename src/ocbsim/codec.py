@@ -212,8 +212,7 @@ def encode(code: LinearCode, source: np.ndarray) -> np.ndarray:
     Entries other than 0 and 1 are refused.
     """
     c = _frames(source, code.K, "source")
-    bits = c.max(initial=0) <= 1 if c.dtype == np.uint8 else ((c == 0) | (c == 1)).all()
-    if not bits:
+    if not ((c == 0) | (c == 1)).all():
         raise ValueError("source bits must be 0 or 1")
     words = _pack_words(c.astype(np.uint8, copy=False))
     gen = code._generator_words

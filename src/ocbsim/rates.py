@@ -91,8 +91,6 @@ class SweepSpec:
 
 
 def gamma_grid(spec: SweepSpec) -> np.ndarray:
-    if spec.points == 1:
-        return np.array([spec.gamma_min])
     if spec.spacing == "log":
         return np.geomspace(spec.gamma_min, spec.gamma_max, spec.points)
     return np.linspace(spec.gamma_min, spec.gamma_max, spec.points)
@@ -218,7 +216,9 @@ def find_claim_interval(
     log gamma, so its root is the peak to O((r - 1)^2). Each endpoint is the
     root of claimed_gap - threshold on its own side of the peak, so the bracket
     must hold both crossings. A gamma_lo below CLAIM_GAMMA_FLOOR is refused:
-    there the gap's sign test reads rounding, not the gap.
+    there the gap's sign test reads rounding, not the gap. So is a threshold
+    below the gap at gamma_lo, the smallest the search can place, before the
+    peak is sought, and one the peak gap does not exceed.
     """
     if not 0.0 < gamma_lo < gamma_hi <= GAMMA_MAX:
         raise ValueError(f"need 0 < gamma_lo < gamma_hi <= {GAMMA_MAX:g}, got [{gamma_lo}, {gamma_hi}]")
@@ -227,6 +227,11 @@ def find_claim_interval(
                          f"the gap, about gamma / (4 ln 2) bits, sinks under the quadrature's rounding; "
                          f"got {gamma_lo:g}")
 
+    floor = claimed_gap(gamma_lo, order)
+    if threshold < floor:
+        raise ValueError(f"threshold must be at least {floor} bits, the claimed gap at gamma = {gamma_lo:g} "
+                         f"where the claim search starts; got {threshold:g}")
+
     def excess(g):
         return claimed_gap(g, order) - threshold
 
@@ -234,8 +239,9 @@ def find_claim_interval(
     peak = _bisect(lambda g: claimed_gap(g * r, order) - claimed_gap(g / r, order), gamma_lo, gamma_hi)
     peak_gap = claimed_gap(peak, order)
     if not peak_gap > threshold:
-        raise ValueError(f"gap never exceeds threshold {threshold}")
-    if excess(gamma_lo) > 0.0 or excess(gamma_hi) > 0.0:
+        raise ValueError(f"gap never exceeds threshold {threshold}: the peak gap is {peak_gap:.6g} bits "
+                         f"at gamma = {peak:.4g}")
+    if excess(gamma_hi) > 0.0:
         raise ValueError("the range does not bracket the crossings")
     lo, hi = _bisect(excess, gamma_lo, peak), _bisect(excess, peak, gamma_hi)
     return ClaimInterval(lo, hi, peak, peak_gap, threshold)

@@ -204,16 +204,51 @@ def test_curves_config_file_merging(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "command,line",
-    [("curves", "metric = dB"), ("curves", "points = abc"), ("curves", "spacing = cubic"),
-     ("curves", "svg = maybe"), ("verify", "mc_tol = -1"), ("verify", "gap_threshold = 0")],
-    ids=["unknown-key", "bad-int", "bad-choice", "bad-bool", "negative-mc-tol", "zero-gap"],
+    "command,line,message",
+    [("curves", "metric = dB", "unknown config key 'metric'"),
+     ("curves", "points = abc", "invalid int value: 'abc'"),
+     ("curves", "spacing = cubic", "invalid choice: 'cubic'"),
+     ("curves", "svg = maybe", "argument --svg: expected a boolean, got 'maybe'"),
+     ("curves", "points", "expected 'key = value', got 'points'"),
+     ("simulate", "sigma2 = 0.5, abc", "argument --sigma2: expected a comma-separated list of numbers, "
+                                       "got '0.5, abc'"),
+     ("verify", "mc_tol = -1", "must be at least 0, got -1.0"),
+     ("verify", "gap_threshold = 0", "must be in (0, inf), got 0.0")],
+    ids=["unknown-key", "bad-int", "bad-choice", "bad-bool", "malformed", "bad-list", "negative-mc-tol",
+         "zero-gap"],
 )
-def test_bad_config_line_is_a_usage_error(tmp_path, command, line):
+def test_bad_config_line_is_a_usage_error(tmp_path, command, line, message):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(line + "\n")
-    assert run_cli(command, "--config", str(cfg), cwd=tmp_path).returncode == 2
+    out = run_cli(command, "--config", str(cfg), cwd=tmp_path)
+    assert out.returncode == 2
+    assert message in out.stderr
+    assert "invalid _" not in out.stderr
     assert not any(tmp_path.glob("*.manifest.txt"))
+
+
+def _value_options():
+    """(command, flag) for every option that takes a parsed value: all but the paths --out and --config."""
+    from ocbsim.cli import _COMMAND_DEFAULTS
+
+    return [(command, "--" + key.replace("_", "-"))
+            for command, keys in _COMMAND_DEFAULTS.items() for key in ("seed", "threads", *keys)]
+
+
+@pytest.mark.parametrize("token", ["maybe", ","])
+@pytest.mark.parametrize("command,flag", _value_options())
+def test_no_parse_error_names_a_private_function(tmp_path, capsys, command, flag, token):
+    from ocbsim import cli
+
+    try:
+        code = cli.main([command, f"{flag}={token}", "--out", str(tmp_path)])
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    err = capsys.readouterr().err
+    assert flag in err or token in err
+    assert "invalid _" not in err
+    assert not any(tmp_path.iterdir())
 
 
 # every option of each command, as config lines and as the same flags
@@ -541,7 +576,9 @@ def test_verify_gap_threshold_above_the_peak_is_the_searchs_error(tmp_path, caps
     argv = ["verify", "--grid-points", "2", "--mc-samples", "10000", "--trials", "10",
             "--mc-tol", "0.05", "--gap-threshold", "0.5", "--out", str(tmp_path)]
     assert cli.main(argv) == 2
-    assert "gap never exceeds threshold 0.5" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "gap never exceeds threshold 0.5" in err
+    assert "the peak gap is 0.2357" in err
     assert not (tmp_path / "verify.txt").exists()
 
 
@@ -555,7 +592,7 @@ def test_verify_gap_threshold_below_the_searchs_reach_is_refused_first(tmp_path,
     monkeypatch.setattr(awgn_info, "mi_monte_carlo_grouped", no_monte_carlo)
     assert cli.main(["verify", "--gap-threshold", "1e-4", "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
-    assert "--gap-threshold must be at least 0.00036" in err
+    assert "threshold must be at least 0.00036" in err
     assert not (tmp_path / "verify.txt").exists()
 
 

@@ -133,9 +133,11 @@ def test_gamma_grid_linear_spacing():
     assert np.allclose(g, [1.0, 2.0, 3.0, 4.0, 5.0])
 
 
-def test_gamma_grid_single_point():
-    g = rates.gamma_grid(SweepSpec(gamma_min=2.0, gamma_max=2.0, points=1))
-    assert g.tolist() == [2.0]
+@pytest.mark.parametrize("spacing", ["log", "linear"])
+@pytest.mark.parametrize("gamma", [2.0, 1.0 / 3.0, 5e-324, 1e300])
+def test_gamma_grid_single_point(spacing, gamma):
+    g = rates.gamma_grid(SweepSpec(gamma_min=gamma, gamma_max=gamma, points=1, spacing=spacing))
+    assert g.tobytes() == np.array([gamma]).tobytes()
 
 
 @pytest.mark.parametrize(
@@ -221,13 +223,26 @@ def test_claim_interval_structure():
 
 
 def test_claim_interval_unreachable_threshold():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"gap never exceeds threshold 0\.5: the peak gap is 0\.2357"):
         rates.find_claim_interval(threshold=0.5)
 
 
-def test_claim_interval_requires_a_bracketing_scan():
-    with pytest.raises(ValueError):
-        rates.find_claim_interval(threshold=0.01, gamma_lo=1.0, gamma_hi=4.0)
+def test_claim_interval_refuses_a_threshold_below_its_reach_before_the_peak_search(monkeypatch):
+    # the claimed gap at the bracket's lower end, gamma = 1e-3, is about 3.6e-4 bits
+    calls = []
+    gap = rates.claimed_gap
+    monkeypatch.setattr(rates, "claimed_gap", lambda *a: calls.append(a) or gap(*a))
+    with pytest.raises(ValueError, match=r"threshold must be at least 0\.00036"):
+        rates.find_claim_interval(threshold=1e-4)
+    assert len(calls) <= 3
+
+
+@pytest.mark.parametrize("gamma_lo,gamma_hi,message",
+                         [(1.0, 4.0, "threshold must be at least"), (1e-3, 4.0, "does not bracket")])
+def test_claim_interval_requires_a_bracketing_scan(gamma_lo, gamma_hi, message):
+    # the gap at gamma = 1 and at gamma = 4 is above 0.01 bits
+    with pytest.raises(ValueError, match=message):
+        rates.find_claim_interval(threshold=0.01, gamma_lo=gamma_lo, gamma_hi=gamma_hi)
 
 
 def test_peak_search_sign_holds_on_either_side_of_the_peak():
