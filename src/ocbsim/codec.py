@@ -378,14 +378,19 @@ def ldpc_code(n: int = 1024, seed: int = 0, var_degree: int = 3, check_degree: i
 
 
 def from_generator_file(path) -> LinearCode:
-    """Load a generator matrix from text: one codeword row per line, 0/1 entries."""
+    """Load a generator matrix from text: one row of the M x K generator per
+    line, entries the tokens 0 and 1 and nothing else."""
     path = Path(path)
     rows = []
-    for line in path.read_text().splitlines():
+    for number, line in enumerate(path.read_text().splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        rows.append([int(tok) for tok in line.split()])
+        tokens = line.split()
+        for tok in tokens:
+            if tok not in ("0", "1"):
+                raise ValueError(f"{path}:{number}: generator entries must be 0 or 1, got {tok!r}")
+        rows.append([int(tok) for tok in tokens])
     if not rows:
         raise ValueError(f"no matrix rows found in {path}")
     widths = {len(r) for r in rows}

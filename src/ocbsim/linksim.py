@@ -12,13 +12,16 @@ blocks of frames across worker processes.
 
 Frames run in blocks of about BLOCK_SYMBOLS symbols (16384: 16 frames of
 ldpc1024, 2340 of hamming74). A block builds no per-frame generator
-objects: _pcg64_seeds hashes the frames' SeedSequences into PCG64 states
-with array arithmetic, one pass for each run of ids with the same number
-of 32-bit words. One PCG64 is set to each frame's state in turn, through one
+objects: _pcg64_seeds hashes the frames' SeedSequences and finishes
+PCG64's seeding (two 128-bit LCG steps, as (hi, lo) uint64 words from
+32-bit limbs) with array arithmetic, one pass for each run of ids with the
+same number of 32-bit words, so a frame's state is two ints read back from
+.tolist(). One PCG64 is set to each frame's state in turn, through one
 reused state dict, for that frame's draws: one random_raw for its source
-bits and one standard_normal drawn into its row of the block's noise. The
-block's noise is then scaled by sigma once, and + 0.0 reproduces normal's
-0 + sigma z (+0.0 where sigma z is -0.0). Everything after the draws
+bits, collected in a list and concatenated once, and one standard_normal
+drawn into its row of the block's noise. The block's noise is then scaled
+by sigma once, and + 0.0 reproduces normal's 0 + sigma z (+0.0 where
+sigma z is -0.0). Everything after the draws
 (encoding, mapping, demapping, decoding, tallying) runs on (T, M) arrays of
 the block's T frames at once.
 A frame's result does not depend on the block it lands in, so the block
@@ -190,7 +193,6 @@ class SimStats:
 # numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx) and
 # the PCG64 multiplier (O'Neill, HMC-CS-2014-0905)
 _MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
@@ -225,6 +227,22 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return r ^ (r >> 16)
 
 
+def _mul64(a: np.ndarray, b) -> tuple[np.ndarray, np.ndarray]:
+    """(hi, lo) of the full 128-bit products of uint64 array a and b, from
+    32-bit limbs; each partial sum fits in 64 bits, and only arrays wrap."""
+    a_hi, a_lo, b_hi, b_lo = a >> 32, a & _MASK32, b >> 32, b & _MASK32
+    lo_lo, mid_a, mid_b = a_lo * b_lo, a_hi * b_lo, a_lo * b_hi
+    cross = (lo_lo >> 32) + (mid_a & _MASK32) + (mid_b & _MASK32)
+    return (a_hi * b_hi + (mid_a >> 32) + (mid_b >> 32) + (cross >> 32),
+            cross << 32 | lo_lo & _MASK32)
+
+
+def _add128(a_hi, a_lo, b_hi, b_lo) -> tuple[np.ndarray, np.ndarray]:
+    """(hi, lo) of (a + b) mod 2**128 for uint64 arrays, carrying the low word's wrap."""
+    lo = a_lo + b_lo
+    return a_hi + b_hi + (lo < a_lo), lo
+
+
 def _pcg64_from_entropy(words: list[np.ndarray]) -> Iterator[tuple[int, int]]:
     """(state, inc) of PCG64(SeedSequence(e)) for each column e of the
     entropy words, a list of equal-length uint32 arrays, one at a time."""
@@ -240,12 +258,18 @@ def _pcg64_from_entropy(words: list[np.ndarray]) -> Iterator[tuple[int, int]]:
     # generate_state(4, uint64): eight uint32 draws read as four little-endian uint64
     draw = _hashmix(_INIT_B, _MULT_B)
     out32 = [draw(pool[i % 4]) for i in range(8)]
-    s_hi, s_lo, i_hi, i_lo = ((out32[2 * j + 1].astype(np.uint64) << 32 | out32[2 * j]).tolist()
+    s_hi, s_lo, i_hi, i_lo = (out32[2 * j + 1].astype(np.uint64) << 32 | out32[2 * j]
                               for j in range(4))
-    for a, b, c, d in zip(s_hi, s_lo, i_hi, i_lo):
-        # pcg_setseq_128_srandom_r: inc = 2 i + 1, then two LCG steps from 0, adding s between
-        inc = ((c << 64 | d) << 1 | 1) & _MASK128
-        yield (((a << 64 | b) + inc) * _PCG_MULT + inc) & _MASK128, inc
+    # pcg_setseq_128_srandom_r: inc = 2 i + 1, then two LCG steps from 0, adding s
+    # between: state = ((s + inc) M + inc) mod 2**128, in (hi, lo) uint64 words
+    inc_hi, inc_lo = i_hi << 1 | i_lo >> 63, i_lo << 1 | 1
+    t_hi, t_lo = _add128(s_hi, s_lo, inc_hi, inc_lo)
+    m_hi, m_lo = map(np.uint64, divmod(_PCG_MULT, 1 << 64))
+    p_hi, p_lo = _mul64(t_lo, m_lo)
+    p_hi += t_lo * m_hi + t_hi * m_lo
+    halves = [w.tolist() for w in (*_add128(p_hi, p_lo, inc_hi, inc_lo), inc_hi, inc_lo)]
+    for a, b, c, d in zip(*halves):
+        yield a << 64 | b, c << 64 | d
 
 
 def _pcg64_seeds(seed: int, trials: range) -> Iterator[tuple[int, int]]:
@@ -274,24 +298,28 @@ def transmit_block(cfg: LinkConfig, trials: range) -> TxBlock:
     64-bit outputs, ceil(K/4) words per stream (numpy's bounded uint8 draw
     never rejects at range 2), and one normal call of 2M values equals the
     two calls of M, which return 0 + sigma z for the z that standard_normal
-    draws. So each frame sets one reused state dict, takes one random_raw
-    into its raw row and one standard_normal fill into its noise row; the
-    block is then scaled by sigma once, and + 0.0 reproduces normal's 0 +
-    sigma z, which is +0.0 where sigma z is -0.0 (at sigma2 = 0).
+    draws. So each frame sets one reused state dict to the state that
+    _pcg64_seeds finished for the whole block in array arithmetic, takes one
+    random_raw, appended to a list that is concatenated once, and one
+    standard_normal fill into its noise row; the block is then scaled by
+    sigma once, and + 0.0 reproduces normal's 0 + sigma z, which is +0.0
+    where sigma z is -0.0 (at sigma2 = 0).
     """
     sigma = np.sqrt(cfg.sigma2)
     k1, k2, m = cfg.code1.K, cfg.code2.K, cfg.code1.M
     w1, w2 = -(-k1 // 4), -(-k2 // 4)
-    raw = np.empty((len(trials), -(-(w1 + w2) // 2)), dtype=np.uint64)
+    n_raw = -(-(w1 + w2) // 2)
     noise = np.empty((len(trials), 2 * m))
     bitgen = np.random.PCG64(0)
-    rng = np.random.Generator(bitgen)
+    random_raw, standard_normal = bitgen.random_raw, np.random.Generator(bitgen).standard_normal
     seeded = {"state": 0, "inc": 0}
     state = {"bit_generator": "PCG64", "state": seeded, "has_uint32": 0, "uinteger": 0}
-    for i, (seeded["state"], seeded["inc"]) in enumerate(_pcg64_seeds(cfg.seed, trials)):
+    raws = []
+    for (seeded["state"], seeded["inc"]), row in zip(_pcg64_seeds(cfg.seed, trials), noise):
         bitgen.state = state
-        raw[i] = bitgen.random_raw(raw.shape[1])
-        rng.standard_normal(out=noise[i])
+        raws.append(random_raw(n_raw))
+        standard_normal(out=row)
+    raw = np.concatenate(raws).reshape(len(trials), n_raw)
     noise *= sigma
     noise += 0.0
     top = raw.astype("<u8", copy=False).view(np.uint8) >> 7

@@ -455,6 +455,17 @@ def test_identity_generator_file_decodes_like_the_builtin(tmp_path):
     assert len(runs["file"]) == 2
 
 
+@pytest.mark.parametrize("token", ["256", "-1", "\u0661"])
+def test_generator_file_entry_other_than_zero_or_one_is_a_usage_error(tmp_path, token):
+    gen = tmp_path / "bad.txt"
+    gen.write_text(f"1 0 {token}\n")
+    out = run_cli("simulate", "--code1", f"@{gen}", "--code2", f"@{gen}", "--trials", "4",
+                  cwd=tmp_path)
+    assert out.returncode == 2
+    assert f"{gen}:1:" in out.stderr and "Traceback" not in out.stderr
+    assert not list(tmp_path.glob("sim*"))
+
+
 def test_simulate_error_propagation_columns(tmp_path):
     out = run_cli("simulate", "--code1", "identity64", "--code2", "identity64",
                   "--trials", "60", "--sigma2", "1.0", "--stage2-input", "raw_hard",

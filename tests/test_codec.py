@@ -308,6 +308,16 @@ def test_generator_file_rejects_ragged_rows(tmp_path):
         codec.from_generator_file(path)
 
 
+@pytest.mark.parametrize("token", ["256", "-1", "99999999999999999999999", "\u0661", "2", "1e0", "1,0"])
+def test_generator_file_accepts_only_zero_and_one(tmp_path, token):
+    # int() reads all of these, or wraps them past uint8; none is a GF(2) entry
+    path = tmp_path / "bad.txt"
+    path.write_text(f"# rows\n1 0 1\n0 {token} 1\n")
+    with pytest.raises(ValueError, match="generator entries must be 0 or 1") as info:
+        codec.from_generator_file(path)
+    assert f"{path}:3:" in str(info.value) and repr(token) in str(info.value)
+
+
 def test_generator_file_rejects_empty(tmp_path):
     path = tmp_path / "empty.txt"
     path.write_text("# nothing\n\n")

@@ -170,6 +170,38 @@ def test_block_seeding_matches_numpy(seed):
     assert list(linksim._pcg64_seeds(seed, straddle)) == [numpy_pcg64_seed(seed, t) for t in straddle]
 
 
+_U64 = 2**64 - 1
+# zero, all-ones limbs, a carry out of the low limb, and both halves of PCG64's multiplier
+_LIMB_EDGES = [0, 1, 2**32 - 1, 2**32, _U64 - 2**32 + 1, _U64, 2**63,
+               linksim._PCG_MULT >> 64, linksim._PCG_MULT & _U64]
+
+
+def _limb_operands():
+    draws = np.random.default_rng(23).integers(0, 2**64, size=200, dtype=np.uint64)
+    ops = _LIMB_EDGES + list(map(int, draws))
+    a, b = zip(*[(x, y) for x in ops for y in ops])
+    return a, b
+
+
+def test_limb_product_matches_python_ints():
+    a, b = _limb_operands()
+    hi, lo = linksim._mul64(np.array(a, dtype=np.uint64), np.array(b, dtype=np.uint64))
+    assert [h << 64 | w for h, w in zip(hi.tolist(), lo.tolist())] == [x * y for x, y in zip(a, b)]
+    # a uint64 scalar factor, as the seeding passes the multiplier's halves
+    for m in (linksim._PCG_MULT >> 64, linksim._PCG_MULT & _U64, _U64):
+        hi, lo = linksim._mul64(np.array(a, dtype=np.uint64), np.uint64(m))
+        assert [h << 64 | w for h, w in zip(hi.tolist(), lo.tolist())] == [x * m for x in a]
+
+
+def test_carry_add_matches_python_ints():
+    a, b = _limb_operands()
+    # (hi, lo) pairs: the operands as low words under each other's high words
+    a_hi, a_lo, b_hi, b_lo = (np.array(v, dtype=np.uint64) for v in (b, a, a, b))
+    hi, lo = linksim._add128(a_hi, a_lo, b_hi, b_lo)
+    want = [((w << 64 | x) + (y << 64 | z)) & (2**128 - 1) for w, x, y, z in zip(b, a, a, b)]
+    assert [h << 64 | w for h, w in zip(hi.tolist(), lo.tolist())] == want
+
+
 def numpy_transmit_chain(cfg, trials):
     """The frames of a block one at a time, each on its own
     default_rng(SeedSequence([seed, t])), as (c1, c2, v1, v2, y) rows."""
@@ -212,6 +244,22 @@ def test_transmit_block_matches_per_frame_numpy_generators(pair, sigma2, seed):
         got = getattr(blk, name)
         assert got.dtype == expect.dtype, name
         if got.dtype.kind in "fc":  # bit for bit: array_equal takes -0.0 for +0.0
+            got, expect = got.view(np.uint64), expect.view(np.uint64)
+        assert np.array_equal(got, expect), name
+
+
+@pytest.mark.parametrize("pair", ["hamming74-hamming74", "identity6-repetition6", "ldpc96"])
+def test_transmit_block_across_two_seeding_passes_matches_numpy(pair):
+    # ids below 2**32 are one entropy word and the rest two, so the block is seeded in two passes
+    code1, code2 = _TX_PAIRS[pair]
+    trials = range(2**32 - 5, 2**32 + 4)
+    cfg = LinkConfig(code1, code2, alpha=INV2, sigma2=0.4, trials=trials.stop, seed=7)
+    blk = linksim.transmit_block(cfg, trials)
+    want = numpy_transmit_chain(cfg, trials)
+    for name, expect in zip(("c1", "c2", "v1", "v2", "y"), want):
+        got = getattr(blk, name)
+        assert got.dtype == expect.dtype, name
+        if got.dtype.kind in "fc":
             got, expect = got.view(np.uint64), expect.view(np.uint64)
         assert np.array_equal(got, expect), name
 
