@@ -110,12 +110,12 @@ def _int_in(lo: int, hi: float = float("inf")):
 _positive_int = _int_in(1)
 
 
-def _float_in(lo: float, open_ends: bool = False):
-    """An argparse type taking floats in [lo, inf], or finite ones above lo with ``open_ends``."""
+def _float_in(lo: float, open_lo: bool = False):
+    """An argparse type taking finite floats at least lo, or above lo with ``open_lo``."""
     def parse(raw: str) -> float:
         value = float(raw)
-        if not (lo < value < float("inf") if open_ends else value >= lo):
-            bound = f"in ({lo:g}, inf)" if open_ends else f"at least {lo:g}"
+        if not ((lo < value if open_lo else lo <= value) and value < float("inf")):
+            bound = f"in ({lo:g}, inf)" if open_lo else f"in [{lo:g}, inf)"
             raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
         return value
     parse.__name__ = "float"  # argparse names the type in its "invalid float value" error
@@ -521,7 +521,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="absolute tolerance for Monte Carlo checks "
                         "(default, or 0: 3 standard errors)")
     p.add_argument("--trials", type=_positive_int, default=None, help="genie-link trials")
-    p.add_argument("--gap-threshold", dest="gap_threshold", type=_float_in(0.0, open_ends=True),
+    p.add_argument("--gap-threshold", dest="gap_threshold", type=_float_in(0.0, open_lo=True),
                    default=None, help="gap in bits the claim interval is measured at (positive)")
     p.set_defaults(func=cmd_verify)
     return parser

@@ -186,6 +186,14 @@ class LinearCode:
             return "ldpc"
         return "identity" if self._identity else "general"
 
+    def check_decodable(self) -> None:
+        """Refuse a code whose ML decoding would enumerate more than 2^16
+        codewords: one with K above 16 that has no parity matrix and is not
+        the identity."""
+        if self.kind == "general" and self.K > _ML_MAX_K:
+            raise ValueError(f"ML decoding of a K = {self.K} code would search 2^{self.K} codewords, "
+                             f"more than the limit of 2^{_ML_MAX_K}")
+
     def codebook(self) -> np.ndarray:
         """All 2^K codewords, source words enumerated in counting order."""
         if self._codebook is None:
@@ -411,8 +419,9 @@ def builtin_code(name: str) -> LinearCode:
     for prefix, factory, k_of in (("repetition", repetition_code, lambda n: 1),
                                   ("identity", identity_code, lambda n: n),
                                   ("ldpc", ldpc_code, lambda n: n // 2)):
-        if name.startswith(prefix) and name[len(prefix):].isdigit():
-            n = int(name[len(prefix):])
+        digits = name[len(prefix):]
+        if name.startswith(prefix) and digits.isascii() and digits.isdigit():
+            n = int(digits)
             if n * k_of(n) > MAX_GENERATOR_ENTRIES:
                 raise ValueError(f"code {name!r} needs a generator of {n} x {k_of(n)} entries, "
                                  f"more than the limit of {MAX_GENERATOR_ENTRIES} (2^26)")

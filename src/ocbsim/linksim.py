@@ -11,19 +11,17 @@ imaginary noise, so tallies are independent of how run_trials splits the
 blocks of frames across worker processes.
 
 Frames run in blocks of about BLOCK_SYMBOLS symbols (16384: 16 frames of
-ldpc1024, 2340 of hamming74). A block builds no per-frame generator
-objects: _pcg64_seeds hashes the frames' SeedSequences and finishes
-PCG64's seeding (two 128-bit LCG steps, as (hi, lo) uint64 words from
-32-bit limbs) with array arithmetic, one pass for each run of ids with the
-same number of 32-bit words, so a frame's state is two ints read back from
-.tolist(). One PCG64 is set to each frame's state in turn, through one
-reused state dict, for that frame's draws: one random_raw for its source
-bits, collected in a list and concatenated once, and one standard_normal
-drawn into its row of the block's noise. The block's noise is then scaled
-by sigma once, and + 0.0 reproduces normal's 0 + sigma z (+0.0 where
-sigma z is -0.0). Everything after the draws
-(encoding, mapping, demapping, decoding, tallying) runs on (T, M) arrays of
-the block's T frames at once.
+ldpc1024, 2340 of hamming74). _pcg64_seeds hashes the block's
+SeedSequences in uint32 array arithmetic, one pass for each run of ids with
+the same number of 32-bit words, into the four uint64 words each frame's
+PCG64 seeds itself from, and numpy finishes the seeding: each frame's PCG64
+is built from its row through an ISeedSequence that hands the row back.
+That frame's draws are one random_raw for its source bits, collected in a
+list and concatenated once, and one standard_normal drawn into its row of
+the block's noise. The block's noise is then scaled by sigma once, and
++ 0.0 reproduces normal's 0 + sigma z (+0.0 where sigma z is -0.0).
+Everything after the draws (encoding, mapping, demapping, decoding,
+tallying) runs on (T, M) arrays of the block's T frames at once.
 A frame's result does not depend on the block it lands in, so the block
 size changes speed and memory, not tallies. Larger blocks spread the
 per-call cost of each BP iteration over more frames; a block of 16 ldpc1024
@@ -37,8 +35,8 @@ axis, Q(sqrt(2) alpha / sigma).
 
 from __future__ import annotations
 
+import functools
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -86,6 +84,8 @@ class LinkConfig:
             raise ValueError("seed must be a nonnegative integer")
         if self.stage2_input not in STAGE2_MODES:
             raise ValueError(f"stage2_input must be one of {STAGE2_MODES}")
+        self.code1.check_decodable()  # before any frame is drawn, not at the first decode
+        self.code2.check_decodable()
         # both 2 alpha^2, the energy the LLRs scale with, and gamma are bounded
         if self.sigma2 > 0.0 and not (self.alpha <= math.sqrt(0.5 * GAMMA_MAX)
                                       and self.gamma <= GAMMA_MAX):
@@ -190,13 +190,11 @@ class SimStats:
         return abs(centre - p) + half
 
 
-# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx) and
-# the PCG64 multiplier (O'Neill, HMC-CS-2014-0905)
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
 _MASK32 = 0xFFFFFFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 def _uint32_words(n: int) -> list[int]:
@@ -227,25 +225,10 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return r ^ (r >> 16)
 
 
-def _mul64(a: np.ndarray, b) -> tuple[np.ndarray, np.ndarray]:
-    """(hi, lo) of the full 128-bit products of uint64 array a and b, from
-    32-bit limbs; each partial sum fits in 64 bits, and only arrays wrap."""
-    a_hi, a_lo, b_hi, b_lo = a >> 32, a & _MASK32, b >> 32, b & _MASK32
-    lo_lo, mid_a, mid_b = a_lo * b_lo, a_hi * b_lo, a_lo * b_hi
-    cross = (lo_lo >> 32) + (mid_a & _MASK32) + (mid_b & _MASK32)
-    return (a_hi * b_hi + (mid_a >> 32) + (mid_b >> 32) + (cross >> 32),
-            cross << 32 | lo_lo & _MASK32)
-
-
-def _add128(a_hi, a_lo, b_hi, b_lo) -> tuple[np.ndarray, np.ndarray]:
-    """(hi, lo) of (a + b) mod 2**128 for uint64 arrays, carrying the low word's wrap."""
-    lo = a_lo + b_lo
-    return a_hi + b_hi + (lo < a_lo), lo
-
-
-def _pcg64_from_entropy(words: list[np.ndarray]) -> Iterator[tuple[int, int]]:
-    """(state, inc) of PCG64(SeedSequence(e)) for each column e of the
-    entropy words, a list of equal-length uint32 arrays, one at a time."""
+def _generate_state(words: list[np.ndarray]) -> np.ndarray:
+    """SeedSequence(e).generate_state(4, uint64) for each column e of the
+    entropy words, a list of equal-length uint32 arrays, as the rows of an
+    (n, 4) uint64 array."""
     hashmix = _hashmix(_INIT_A, _MULT_A)
     pool = [hashmix(words[i] if i < len(words) else np.zeros_like(words[0])) for i in range(4)]
     for src in range(4):
@@ -255,37 +238,48 @@ def _pcg64_from_entropy(words: list[np.ndarray]) -> Iterator[tuple[int, int]]:
     for src in range(4, len(words)):
         for dst in range(4):
             pool[dst] = _mix(pool[dst], hashmix(words[src]))
-    # generate_state(4, uint64): eight uint32 draws read as four little-endian uint64
+    # eight uint32 draws, each uint64 word from its (low, high) pair of them
     draw = _hashmix(_INIT_B, _MULT_B)
     out32 = [draw(pool[i % 4]) for i in range(8)]
-    s_hi, s_lo, i_hi, i_lo = (out32[2 * j + 1].astype(np.uint64) << 32 | out32[2 * j]
-                              for j in range(4))
-    # pcg_setseq_128_srandom_r: inc = 2 i + 1, then two LCG steps from 0, adding s
-    # between: state = ((s + inc) M + inc) mod 2**128, in (hi, lo) uint64 words
-    inc_hi, inc_lo = i_hi << 1 | i_lo >> 63, i_lo << 1 | 1
-    t_hi, t_lo = _add128(s_hi, s_lo, inc_hi, inc_lo)
-    m_hi, m_lo = map(np.uint64, divmod(_PCG_MULT, 1 << 64))
-    p_hi, p_lo = _mul64(t_lo, m_lo)
-    p_hi += t_lo * m_hi + t_hi * m_lo
-    halves = [w.tolist() for w in (*_add128(p_hi, p_lo, inc_hi, inc_lo), inc_hi, inc_lo)]
-    for a, b, c, d in zip(*halves):
-        yield a << 64 | b, c << 64 | d
+    return np.stack([out32[2 * j + 1].astype(np.uint64) << 32 | out32[2 * j] for j in range(4)],
+                    axis=1)
 
 
-def _pcg64_seeds(seed: int, trials: range) -> Iterator[tuple[int, int]]:
-    """(state, inc) of PCG64(SeedSequence([seed, t])) for each trial id t < 2**64.
+def _pcg64_seeds(seed: int, trials: range) -> np.ndarray:
+    """SeedSequence([seed, t]).generate_state(4, uint64), the words PCG64
+    seeds itself from, as row i of a C-contiguous (T, 4) array for the i-th
+    trial id t < 2**64.
 
     The entropy is seed's words then t's; each run of trials whose ids have
-    the same number of words is seeded in one pass of uint32 array arithmetic.
+    the same number of words is hashed in one pass of uint32 array arithmetic.
     """
+    parts = []
     start = trials.start
     while start < trials.stop:
         n = len(_uint32_words(start))
         t = np.arange(start, min(trials.stop, 1 << 32 * n), dtype=np.uint64)
         words = [np.full(t.size, w, dtype=np.uint32) for w in _uint32_words(seed)]
         words += [(t >> np.uint64(32 * j)).astype(np.uint32) for j in range(n)]
-        yield from _pcg64_from_entropy(words)
+        parts.append(_generate_state(words))
         start += t.size
+    return np.concatenate(parts)
+
+
+@functools.cache
+def _seeded_words():
+    """An ISeedSequence whose generate_state returns the words it holds, so
+    PCG64 seeds itself from _pcg64_seeds' row as from its SeedSequence. Built
+    on first use: importing linksim loads no numpy.random."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeededWords(ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words  # PCG64 asks for 4 uint64 words
+
+    return SeededWords
 
 
 def transmit_block(cfg: LinkConfig, trials: range) -> TxBlock:
@@ -298,27 +292,24 @@ def transmit_block(cfg: LinkConfig, trials: range) -> TxBlock:
     64-bit outputs, ceil(K/4) words per stream (numpy's bounded uint8 draw
     never rejects at range 2), and one normal call of 2M values equals the
     two calls of M, which return 0 + sigma z for the z that standard_normal
-    draws. So each frame sets one reused state dict to the state that
-    _pcg64_seeds finished for the whole block in array arithmetic, takes one
-    random_raw, appended to a list that is concatenated once, and one
-    standard_normal fill into its noise row; the block is then scaled by
-    sigma once, and + 0.0 reproduces normal's 0 + sigma z, which is +0.0
-    where sigma z is -0.0 (at sigma2 = 0).
+    draws. So each frame's PCG64 seeds itself from its row of the words that
+    _pcg64_seeds hashed for the whole block, takes one random_raw, appended
+    to a list that is concatenated once, and one standard_normal fill into
+    its noise row; the block is then scaled by sigma once, and + 0.0
+    reproduces normal's 0 + sigma z, which is +0.0 where sigma z is -0.0
+    (at sigma2 = 0).
     """
     sigma = np.sqrt(cfg.sigma2)
     k1, k2, m = cfg.code1.K, cfg.code2.K, cfg.code1.M
     w1, w2 = -(-k1 // 4), -(-k2 // 4)
     n_raw = -(-(w1 + w2) // 2)
     noise = np.empty((len(trials), 2 * m))
-    bitgen = np.random.PCG64(0)
-    random_raw, standard_normal = bitgen.random_raw, np.random.Generator(bitgen).standard_normal
-    seeded = {"state": 0, "inc": 0}
-    state = {"bit_generator": "PCG64", "state": seeded, "has_uint32": 0, "uinteger": 0}
+    pcg64, generator, seeded = np.random.PCG64, np.random.Generator, _seeded_words()
     raws = []
-    for (seeded["state"], seeded["inc"]), row in zip(_pcg64_seeds(cfg.seed, trials), noise):
-        bitgen.state = state
-        raws.append(random_raw(n_raw))
-        standard_normal(out=row)
+    for words, row in zip(_pcg64_seeds(cfg.seed, trials), noise):
+        bitgen = pcg64(seeded(words))
+        raws.append(bitgen.random_raw(n_raw))
+        generator(bitgen).standard_normal(out=row)
     raw = np.concatenate(raws).reshape(len(trials), n_raw)
     noise *= sigma
     noise += 0.0

@@ -87,7 +87,8 @@ def test_imports_load_no_submodule_and_no_process_pool(tmp_path):
     code = ("import sys, ocbsim\n"
             "print(sorted(m for m in sys.modules if m.startswith('ocbsim.')))\n"
             "import ocbsim.cli\n"
-            "print([m for m in ('concurrent.futures.process', 'multiprocessing') if m in sys.modules])")
+            "print([m for m in ('concurrent.futures.process', 'multiprocessing', 'numpy.random')\n"
+            "       if m in sys.modules])")
     out = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
                          capture_output=True, text=True, env=cli_env())
     assert out.returncode == 0, out.stderr
@@ -212,7 +213,7 @@ def test_curves_config_file_merging(tmp_path):
      ("curves", "points", "expected 'key = value', got 'points'"),
      ("simulate", "sigma2 = 0.5, abc", "argument --sigma2: expected a comma-separated list of numbers, "
                                        "got '0.5, abc'"),
-     ("verify", "mc_tol = -1", "must be at least 0, got -1.0"),
+     ("verify", "mc_tol = -1", "must be in [0, inf), got -1.0"),
      ("verify", "gap_threshold = 0", "must be in (0, inf), got 0.0")],
     ids=["unknown-key", "bad-int", "bad-choice", "bad-bool", "malformed", "bad-list", "negative-mc-tol",
          "zero-gap"],
@@ -466,6 +467,25 @@ def test_generator_file_entry_other_than_zero_or_one_is_a_usage_error(tmp_path, 
     assert not list(tmp_path.glob("sim*"))
 
 
+def test_simulate_refuses_a_non_ascii_code_number(tmp_path):
+    out = run_cli("simulate", "--code1", "ldpc\u0669\u0666", "--trials", "4", cwd=tmp_path)
+    assert out.returncode == 2
+    assert "unknown code name" in out.stderr and "Traceback" not in out.stderr
+    assert not list(tmp_path.iterdir())
+
+
+def test_generator_file_too_large_for_ml_is_refused_before_any_frame(tmp_path):
+    # K = 17 with one parity row: no parity matrix, not the identity, 2^17 codewords
+    gen = tmp_path / "spc18.txt"
+    rows = [["1" if j == i else "0" for j in range(17)] for i in range(17)] + [["1"] * 17]
+    gen.write_text("".join(" ".join(row) + "\n" for row in rows))
+    out = run_cli("simulate", "--code1", f"@{gen}", "--code2", f"@{gen}", "--trials", "4",
+                  cwd=tmp_path)
+    assert out.returncode == 2
+    assert "K = 17" in out.stderr and "2^16" in out.stderr and "Traceback" not in out.stderr
+    assert not list(tmp_path.glob("sim*"))
+
+
 def test_simulate_error_propagation_columns(tmp_path):
     out = run_cli("simulate", "--code1", "identity64", "--code2", "identity64",
                   "--trials", "60", "--sigma2", "1.0", "--stage2-input", "raw_hard",
@@ -570,8 +590,8 @@ def test_verify_unattainable_tolerance_fails_loudly(tmp_path):
 
 @pytest.mark.parametrize(
     "flag,value",
-    [("--mc-tol", "-1"), ("--mc-tol", "nan"), ("--grid-points", "0"), ("--trials", "0"),
-     ("--mc-samples", "0"), ("--gap-threshold", "0"), ("--gap-threshold", "-1"),
+    [("--mc-tol", "-1"), ("--mc-tol", "nan"), ("--mc-tol", "inf"), ("--grid-points", "0"),
+     ("--trials", "0"), ("--mc-samples", "0"), ("--gap-threshold", "0"), ("--gap-threshold", "-1"),
      ("--gap-threshold", "nan"), ("--gap-threshold", "inf")],
 )
 def test_verify_refuses_meaningless_values_at_parse_time(tmp_path, flag, value):

@@ -334,9 +334,11 @@ def test_builtin_code_lookup(name, k, m):
     assert (code.K, code.M) == (k, m)
 
 
-def test_builtin_code_unknown_name():
-    with pytest.raises(ValueError):
-        codec.builtin_code("turbo9000")
+# a number in other than ASCII digits is no code's number
+@pytest.mark.parametrize("name", ["turbo9000", "ldpc\u0669\u0666", "identity\u0667", "repetition\u00b2"])
+def test_builtin_code_unknown_name(name):
+    with pytest.raises(ValueError, match="unknown code name"):
+        codec.builtin_code(name)
 
 
 @pytest.mark.parametrize("name", ["identity100000", "ldpc16384", "repetition67108865"])

@@ -56,6 +56,16 @@ def test_config_rejects_bad_parameters(kwargs):
         LinkConfig(HAM, HAM, **kwargs)
 
 
+def test_config_refuses_a_code_too_large_for_ml_decoding():
+    # identity and LDPC codes decode without a codebook, whatever K is
+    for code in (codec.identity_code(18), codec.ldpc_code(36)):
+        assert code.K > 16
+        LinkConfig(code, code, alpha=1.0, sigma2=0.5, trials=10)
+    spc = codec.LinearCode(np.vstack([np.eye(17, dtype=np.uint8), np.ones((1, 17), dtype=np.uint8)]))
+    with pytest.raises(ValueError, match=r"K = 17 .* 2\^17 codewords, more than the limit of 2\^16"):
+        LinkConfig(codec.identity_code(18), spc, alpha=1.0, sigma2=0.5, trials=10)
+
+
 @pytest.mark.parametrize(
     "alpha,sigma2",
     [
@@ -154,9 +164,8 @@ def test_received_energy_accounting():
     assert abs(e.mean() - want) < 3.0 * se
 
 
-def numpy_pcg64_seed(seed, t):
-    lcg = np.random.PCG64(np.random.SeedSequence([seed, t])).state["state"]
-    return lcg["state"], lcg["inc"]
+def numpy_seed_words(seed, trials):
+    return np.array([np.random.SeedSequence([seed, t]).generate_state(4, np.uint64) for t in trials])
 
 
 # 2**100 + 7 is four entropy words, so [seed, t] overflows SeedSequence's pool
@@ -164,42 +173,14 @@ def numpy_pcg64_seed(seed, t):
 def test_block_seeding_matches_numpy(seed):
     draws = np.random.default_rng(19).integers(0, 2**64, size=4, dtype=np.uint64)
     for t in [0, 1, 2**32 - 1, 2**32, 12345, *map(int, draws)]:
-        assert list(linksim._pcg64_seeds(seed, range(t, t + 1))) == [numpy_pcg64_seed(seed, t)], t
-    # one and two entropy words for t, seeded in one pass each
+        got = linksim._pcg64_seeds(seed, range(t, t + 1))
+        assert got.dtype == np.uint64 and got.flags.c_contiguous, t
+        assert np.array_equal(got, numpy_seed_words(seed, [t])), t
+    # one and two entropy words for t, hashed in one pass each
     straddle = range(2**32 - 6, 2**32 + 6)
-    assert list(linksim._pcg64_seeds(seed, straddle)) == [numpy_pcg64_seed(seed, t) for t in straddle]
-
-
-_U64 = 2**64 - 1
-# zero, all-ones limbs, a carry out of the low limb, and both halves of PCG64's multiplier
-_LIMB_EDGES = [0, 1, 2**32 - 1, 2**32, _U64 - 2**32 + 1, _U64, 2**63,
-               linksim._PCG_MULT >> 64, linksim._PCG_MULT & _U64]
-
-
-def _limb_operands():
-    draws = np.random.default_rng(23).integers(0, 2**64, size=200, dtype=np.uint64)
-    ops = _LIMB_EDGES + list(map(int, draws))
-    a, b = zip(*[(x, y) for x in ops for y in ops])
-    return a, b
-
-
-def test_limb_product_matches_python_ints():
-    a, b = _limb_operands()
-    hi, lo = linksim._mul64(np.array(a, dtype=np.uint64), np.array(b, dtype=np.uint64))
-    assert [h << 64 | w for h, w in zip(hi.tolist(), lo.tolist())] == [x * y for x, y in zip(a, b)]
-    # a uint64 scalar factor, as the seeding passes the multiplier's halves
-    for m in (linksim._PCG_MULT >> 64, linksim._PCG_MULT & _U64, _U64):
-        hi, lo = linksim._mul64(np.array(a, dtype=np.uint64), np.uint64(m))
-        assert [h << 64 | w for h, w in zip(hi.tolist(), lo.tolist())] == [x * m for x in a]
-
-
-def test_carry_add_matches_python_ints():
-    a, b = _limb_operands()
-    # (hi, lo) pairs: the operands as low words under each other's high words
-    a_hi, a_lo, b_hi, b_lo = (np.array(v, dtype=np.uint64) for v in (b, a, a, b))
-    hi, lo = linksim._add128(a_hi, a_lo, b_hi, b_lo)
-    want = [((w << 64 | x) + (y << 64 | z)) & (2**128 - 1) for w, x, y, z in zip(b, a, a, b)]
-    assert [h << 64 | w for h, w in zip(hi.tolist(), lo.tolist())] == want
+    got = linksim._pcg64_seeds(seed, straddle)
+    assert got.shape == (len(straddle), 4) and got.flags.c_contiguous
+    assert np.array_equal(got, numpy_seed_words(seed, straddle))
 
 
 def numpy_transmit_chain(cfg, trials):
