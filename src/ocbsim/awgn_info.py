@@ -130,10 +130,6 @@ class PointSet:
     def size(self) -> int:
         return self.points.shape[0]
 
-    @property
-    def dims(self) -> int:
-        return self.points.shape[1]
-
 
 PointSet1D = PointSet2D = PointSet
 

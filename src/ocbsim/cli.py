@@ -62,9 +62,11 @@ class _IOFailure(Exception):
 def _config_flags(path: str, keys) -> list:
     """The ``key = value`` lines of a config file as ``--key=value`` flags."""
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise _IOFailure(f"cannot read config file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text: {exc}") from exc
     flags = []
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -165,6 +167,8 @@ def _resolve_code(token: str) -> codec.LinearCode:
             return codec.from_generator_file(token[1:])
         except OSError as exc:
             raise _IOFailure(f"cannot read generator file {token[1:]}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{token[1:]}: not UTF-8 text: {exc}") from exc
     return codec.builtin_code(token)
 
 

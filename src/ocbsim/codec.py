@@ -176,10 +176,6 @@ class LinearCode:
         return self.generator.shape[0]
 
     @property
-    def rate(self) -> float:
-        return self.K / self.M
-
-    @property
     def kind(self) -> str:
         """The decoder the structure selects: "ldpc" (BP), "identity" or "general" (ML)."""
         if self.parity is not None:
@@ -390,7 +386,7 @@ def from_generator_file(path) -> LinearCode:
     line, entries the tokens 0 and 1 and nothing else."""
     path = Path(path)
     rows = []
-    for number, line in enumerate(path.read_text().splitlines(), 1):
+    for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

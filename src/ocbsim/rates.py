@@ -13,7 +13,7 @@ The difference between the two accountings is reported, never asserted away.
 
 The claimed gap over QPSK is unimodal in gamma; find_claim_interval leans
 on that and finds its peak and both threshold crossings by bisection in log
-gamma alone.
+gamma alone, on the fixed bracket [CLAIM_GAMMA_LO, CLAIM_GAMMA_HI].
 """
 
 from __future__ import annotations
@@ -166,13 +166,10 @@ def claimed_gap(gamma: float, order: int = DEFAULT_QUAD_ORDER) -> float:
     return mi_bpsk(gamma, order) - mi_bpsk(gamma / 2.0, order)
 
 
-# the claim search's default bracket in gamma; its gap at the lower end is
-# the smallest threshold the search can place
+# the claim search's bracket in gamma; its gap at the lower end is the
+# smallest threshold the search can place, and at the upper end it is 0.0
 CLAIM_GAMMA_LO = 1e-3
 CLAIM_GAMMA_HI = 1e4
-# the lowest bracket end the search accepts: below it the gap, about
-# gamma / (4 ln 2) bits, sinks under the quadrature's rounding
-CLAIM_GAMMA_FLOOR = 1e-10
 
 
 @dataclass(frozen=True)
@@ -202,46 +199,31 @@ def _bisect(f, lo: float, hi: float) -> float:
             hi = mid
 
 
-def find_claim_interval(
-    threshold: float = 0.01,
-    gamma_lo: float = CLAIM_GAMMA_LO,
-    gamma_hi: float = CLAIM_GAMMA_HI,
-    order: int = DEFAULT_QUAD_ORDER,
-) -> ClaimInterval:
+def find_claim_interval(threshold: float = 0.01, order: int = DEFAULT_QUAD_ORDER) -> ClaimInterval:
     """Where claimed_gap exceeds ``threshold`` bits, by three bisections in log gamma.
 
-    The gap must be unimodal on the bracket 0 < gamma_lo < gamma_hi <=
-    GAMMA_MAX. The peak is the root of claimed_gap(gamma r) - claimed_gap(gamma
-    / r), r = 1 + 1e-6, over the whole bracket: the difference is symmetric in
-    log gamma, so its root is the peak to O((r - 1)^2). Each endpoint is the
-    root of claimed_gap - threshold on its own side of the peak, so the bracket
-    must hold both crossings. A gamma_lo below CLAIM_GAMMA_FLOOR is refused:
-    there the gap's sign test reads rounding, not the gap. So is a threshold
-    below the gap at gamma_lo, the smallest the search can place, before the
-    peak is sought, and one the peak gap does not exceed.
+    The gap must be unimodal on the bracket [CLAIM_GAMMA_LO, CLAIM_GAMMA_HI].
+    The peak is the root of claimed_gap(gamma r) - claimed_gap(gamma / r),
+    r = 1 + 1e-6, over the whole bracket: the difference is symmetric in log
+    gamma, so its root is the peak to O((r - 1)^2). Each endpoint is the root
+    of claimed_gap - threshold on its own side of the peak; the gap is 0.0 at
+    CLAIM_GAMMA_HI, so the upper crossing always lies inside. A threshold below
+    the gap at CLAIM_GAMMA_LO, the smallest the search can place, is refused
+    before the peak is sought, and so is one the peak gap does not exceed.
     """
-    if not 0.0 < gamma_lo < gamma_hi <= GAMMA_MAX:
-        raise ValueError(f"need 0 < gamma_lo < gamma_hi <= {GAMMA_MAX:g}, got [{gamma_lo}, {gamma_hi}]")
-    if gamma_lo < CLAIM_GAMMA_FLOOR:
-        raise ValueError(f"gamma_lo must be at least {CLAIM_GAMMA_FLOOR:g}, the rounding floor: below it "
-                         f"the gap, about gamma / (4 ln 2) bits, sinks under the quadrature's rounding; "
-                         f"got {gamma_lo:g}")
-
-    floor = claimed_gap(gamma_lo, order)
+    lo, hi = CLAIM_GAMMA_LO, CLAIM_GAMMA_HI
+    floor = claimed_gap(lo, order)
     if threshold < floor:
-        raise ValueError(f"threshold must be at least {floor} bits, the claimed gap at gamma = {gamma_lo:g} "
+        raise ValueError(f"threshold must be at least {floor} bits, the claimed gap at gamma = {lo:g} "
                          f"where the claim search starts; got {threshold:g}")
 
     def excess(g):
         return claimed_gap(g, order) - threshold
 
     r = 1.0 + 1e-6
-    peak = _bisect(lambda g: claimed_gap(g * r, order) - claimed_gap(g / r, order), gamma_lo, gamma_hi)
+    peak = _bisect(lambda g: claimed_gap(g * r, order) - claimed_gap(g / r, order), lo, hi)
     peak_gap = claimed_gap(peak, order)
     if not peak_gap > threshold:
         raise ValueError(f"gap never exceeds threshold {threshold}: the peak gap is {peak_gap:.6g} bits "
                          f"at gamma = {peak:.4g}")
-    if excess(gamma_hi) > 0.0:
-        raise ValueError("the range does not bracket the crossings")
-    lo, hi = _bisect(excess, gamma_lo, peak), _bisect(excess, peak, gamma_hi)
-    return ClaimInterval(lo, hi, peak, peak_gap, threshold)
+    return ClaimInterval(_bisect(excess, lo, peak), _bisect(excess, peak, hi), peak, peak_gap, threshold)

@@ -57,7 +57,7 @@ def test_pointset2d_needs_two_columns():
 def test_pointset_stores_k_by_d(points, dims):
     alphabet = ai.PointSet.uniform(points)
     assert alphabet.points.shape == (3, dims)
-    assert alphabet.dims == dims and alphabet.size == 3
+    assert alphabet.size == 3
 
 
 @pytest.mark.parametrize("shape", [(), (2, 2, 1), (4, 3), (4, 0)])

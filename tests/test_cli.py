@@ -307,6 +307,15 @@ def test_unreadable_config_is_an_io_error(tmp_path):
                    cwd=tmp_path).returncode == 3
 
 
+def test_config_that_is_not_utf8_is_a_usage_error_naming_the_file(tmp_path):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"\xfftrials = 4\n")
+    out = run_cli("simulate", "--config", str(cfg), cwd=tmp_path)
+    assert out.returncode == 2
+    assert f"{cfg}: not UTF-8 text" in out.stderr and "Traceback" not in out.stderr
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
 def test_unwritable_output_is_an_io_error(tmp_path):
     blocker = tmp_path / "file"
     blocker.write_text("x")
@@ -465,6 +474,16 @@ def test_generator_file_entry_other_than_zero_or_one_is_a_usage_error(tmp_path, 
     assert out.returncode == 2
     assert f"{gen}:1:" in out.stderr and "Traceback" not in out.stderr
     assert not list(tmp_path.glob("sim*"))
+
+
+def test_generator_file_that_is_not_utf8_is_a_usage_error_naming_the_file(tmp_path):
+    gen = tmp_path / "bad.gen"
+    gen.write_bytes(b"\xff1 0\n0 1\n")
+    out = run_cli("simulate", "--code1", f"@{gen}", "--code2", "identity2", "--trials", "4",
+                  cwd=tmp_path)
+    assert out.returncode == 2
+    assert f"{gen}: not UTF-8 text" in out.stderr and "Traceback" not in out.stderr
+    assert list(tmp_path.iterdir()) == [gen]
 
 
 def test_simulate_refuses_a_non_ascii_code_number(tmp_path):

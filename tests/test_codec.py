@@ -56,7 +56,6 @@ def test_generator_validation():
 def test_code_shape_properties():
     ham = codec.hamming74()
     assert (ham.K, ham.M) == (4, 7)
-    assert ham.rate == pytest.approx(4.0 / 7.0)
     rep = codec.repetition_code(5)
     assert (rep.K, rep.M) == (1, 5)
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ocbsim import rates
-from ocbsim.awgn_info import mi_bpsk, mi_qpsk
+from ocbsim.awgn_info import DEFAULT_QUAD_ORDER, MAX_QUAD_ORDER, MIN_QUAD_ORDER, mi_bpsk, mi_qpsk
 from ocbsim.rates import CSV_COLUMNS, SweepSpec
 
 # quadrature value of the exact axis-stream rate at gamma = 1, cross-checked
@@ -237,12 +237,19 @@ def test_claim_interval_refuses_a_threshold_below_its_reach_before_the_peak_sear
     assert len(calls) <= 3
 
 
-@pytest.mark.parametrize("gamma_lo,gamma_hi,message",
-                         [(1.0, 4.0, "threshold must be at least"), (1e-3, 4.0, "does not bracket")])
-def test_claim_interval_requires_a_bracketing_scan(gamma_lo, gamma_hi, message):
-    # the gap at gamma = 1 and at gamma = 4 is above 0.01 bits
-    with pytest.raises(ValueError, match=message):
-        rates.find_claim_interval(threshold=0.01, gamma_lo=gamma_lo, gamma_hi=gamma_hi)
+def test_claim_interval_reaches_down_to_the_gap_at_the_brackets_lower_end():
+    floor = rates.claimed_gap(rates.CLAIM_GAMMA_LO)
+    ci = rates.find_claim_interval(threshold=floor)
+    assert ci.gamma_lo == pytest.approx(rates.CLAIM_GAMMA_LO, rel=1e-12, abs=0.0)
+    with pytest.raises(ValueError, match="threshold must be at least"):
+        rates.find_claim_interval(threshold=np.nextafter(floor, 0.0))
+
+
+# the upper crossing lies inside the bracket for every threshold the search
+# accepts only because the gap is exactly 0.0 at its upper end
+@pytest.mark.parametrize("order", [MIN_QUAD_ORDER, DEFAULT_QUAD_ORDER, MAX_QUAD_ORDER])
+def test_claimed_gap_vanishes_at_the_brackets_upper_end(order):
+    assert rates.claimed_gap(rates.CLAIM_GAMMA_HI, order) == 0.0
 
 
 def test_peak_search_sign_holds_on_either_side_of_the_peak():
@@ -254,37 +261,9 @@ def test_peak_search_sign_holds_on_either_side_of_the_peak():
         assert rising == (g < peak), g
 
 
-def test_claim_interval_does_not_depend_on_the_bracket():
-    ref = rates.find_claim_interval()
-    for lo, hi in [(1e-2, 1e2), (1e-3, 1e6), (rates.CLAIM_GAMMA_FLOOR, 1e4)]:
-        ci = rates.find_claim_interval(gamma_lo=lo, gamma_hi=hi)
-        assert ci.gamma_lo == pytest.approx(ref.gamma_lo, rel=1e-14, abs=0.0)
-        assert ci.gamma_hi == pytest.approx(ref.gamma_hi, rel=1e-14, abs=0.0)
-        assert ci.gamma_peak == pytest.approx(ref.gamma_peak, rel=1e-8, abs=0.0)
-
-
 def test_claim_interval_search_cost(monkeypatch):
     calls = []
     gap = rates.claimed_gap
     monkeypatch.setattr(rates, "claimed_gap", lambda *a: calls.append(a) or gap(*a))
     rates.find_claim_interval()
     assert len(calls) <= 240
-
-
-@pytest.mark.parametrize(
-    "gamma_lo,gamma_hi",
-    [(0.0, 1e4), (-1.0, 1e4), (float("nan"), 1e4), (1e-3, float("nan")), (2.0, 2.0),
-     (4.0, 1.0), (1e-3, 2e300), (1e-3, float("inf"))],
-)
-def test_claim_interval_refuses_a_bad_bracket(gamma_lo, gamma_hi):
-    with pytest.raises(ValueError, match="need 0 < gamma_lo < gamma_hi"):
-        rates.find_claim_interval(gamma_lo=gamma_lo, gamma_hi=gamma_hi)
-
-
-# below the floor the gap's sign test reads rounding, so a search from there
-# fails or succeeds by chance
-@pytest.mark.parametrize("gamma_lo", [np.nextafter(rates.CLAIM_GAMMA_FLOOR, 0.0), 1e-11, 1e-12, 1e-20,
-                                      1e-300, 5e-324])
-def test_claim_interval_refuses_a_bracket_below_the_rounding_floor(gamma_lo):
-    with pytest.raises(ValueError, match="at least 1e-10, the rounding floor"):
-        rates.find_claim_interval(gamma_lo=gamma_lo)
