@@ -245,6 +245,36 @@ def test_claim_interval_reaches_down_to_the_gap_at_the_brackets_lower_end():
         rates.find_claim_interval(threshold=np.nextafter(floor, 0.0))
 
 
+# -inf up to 0 lies below the gap at the lower end; nan and inf are never exceeded
+@pytest.mark.parametrize("threshold,message",
+                         [(float("-inf"), "threshold must be at least"), (-1.0, "threshold must be at least"),
+                          (-0.0, "threshold must be at least"), (0.0, "threshold must be at least"),
+                          (float("inf"), "gap never exceeds threshold"),
+                          (float("nan"), "gap never exceeds threshold")])
+def test_claim_interval_refuses_a_threshold_outside_its_reach(threshold, message):
+    with pytest.raises(ValueError, match=message):
+        rates.find_claim_interval(threshold=threshold)
+
+
+@pytest.mark.parametrize("threshold", [1e-3, 0.1, 0.2])
+@pytest.mark.parametrize("order", [MIN_QUAD_ORDER, DEFAULT_QUAD_ORDER, MAX_QUAD_ORDER])
+def test_claim_interval_endpoints_sit_on_the_threshold(order, threshold):
+    ci = rates.find_claim_interval(threshold=threshold, order=order)
+    assert rates.CLAIM_GAMMA_LO < ci.gamma_lo < ci.gamma_peak < ci.gamma_hi < rates.CLAIM_GAMMA_HI
+    assert rates.claimed_gap(ci.gamma_lo, order) == pytest.approx(threshold, rel=0.0, abs=1e-12)
+    assert rates.claimed_gap(ci.gamma_hi, order) == pytest.approx(threshold, rel=0.0, abs=1e-12)
+    assert ci.peak_gap == rates.claimed_gap(ci.gamma_peak, order) > threshold
+
+
+@pytest.mark.parametrize("order", [MIN_QUAD_ORDER, DEFAULT_QUAD_ORDER, MAX_QUAD_ORDER])
+def test_claim_interval_narrows_around_one_peak_as_the_threshold_rises(order):
+    intervals = [rates.find_claim_interval(threshold=t, order=order) for t in (1e-3, 0.01, 0.1, 0.2)]
+    for wide, narrow in zip(intervals, intervals[1:]):
+        assert wide.gamma_lo < narrow.gamma_lo < narrow.gamma_hi < wide.gamma_hi
+    # the peak search does not read the threshold
+    assert len({ci.gamma_peak for ci in intervals}) == 1
+
+
 # the upper crossing lies inside the bracket for every threshold the search
 # accepts only because the gap is exactly 0.0 at its upper end
 @pytest.mark.parametrize("order", [MIN_QUAD_ORDER, DEFAULT_QUAD_ORDER, MAX_QUAD_ORDER])
