@@ -38,7 +38,9 @@ search, gathers each sample's group term with one flat ``np.take``, and
 reduces without BLAS, so its working set is O(m) in the m samples of a
 chunk and its result does not depend on the block size. Its per-sample
 values overwrite the chunk's uniform draws, and the block tables are
-allocated once per estimate.
+allocated once per estimate. Like the kernel, it adds the noise to the
+point offsets s_k - s_l, and it returns its sample mean unclamped, so near
+0 bits it may read slightly below 0: ``_clip_bits`` is the one clamp.
 Both backends leave points of zero prior out.
 """
 
@@ -194,20 +196,6 @@ def _gh_nodes(order: int):
     return x, w
 
 
-def _log_joint(coords, points: np.ndarray, probs: np.ndarray, sigma2: float, out, scratch) -> np.ndarray:
-    """ln pi_l - |y - s_l|^2 / (2 sigma2), alphabet axis l first; one array of y per dimension.
-
-    Written into out, the first dimension's terms plus ln pi_l, then the
-    second's; scratch, of the same shape, takes the second dimension's terms.
-    """
-    for y, c, terms in zip(coords, points.T, (out, scratch)):
-        np.subtract(y, c[:, None], out=terms)
-        terms *= terms
-        terms /= -2.0 * sigma2
-        out += np.log(probs)[:, None] if terms is out else terms
-    return out
-
-
 def _clip_bits(bits: float, size: int) -> float:
     """Clamp rounding noise into [0, log2 K]; refuse a larger excursion."""
     top = float(np.log2(size))
@@ -350,7 +338,8 @@ def mi_monte_carlo_grouped(alphabet: PointSet, groups, noise: NoiseModel, sample
     entries at or below u_i, the index ``Generator.choice`` with ``p`` takes
     (cdf[-1] is 1.0 and u_i < 1). The density is then computed in blocks of
     _MC_BLOCK samples, so each (K, block) table stays in cache: the exponent table
-    ln pi_l - |y_i - s_l|^2 / (2 sigma2), shifted by its column maximum and
+    ln pi_l - |y_i - s_l|^2 / (2 sigma2), from y_i - s_l = (s_k - s_l) + n_i
+    so a large common offset loses no noise, shifted by its column maximum and
     exponentiated in place, is E; for sample i in group g,
         ln(sum_{l in g} E[l, i] / sum_l E[l, i]) - ln pi_g,
     since the shift and the Gaussian normalisation cancel in the ratio. Every
@@ -365,8 +354,9 @@ def mi_monte_carlo_grouped(alphabet: PointSet, groups, noise: NoiseModel, sample
     uniforms once they are read, and the deviations from the mean overwrite
     the first noise draws. The two (K, block) tables are allocated once per
     estimate. One allocation a chunk is also one the allocator can keep for
-    the next estimate, which then touches no fresh pages. A degenerate
-    alphabet yields exactly 0 +/- 0.
+    the next estimate, which then touches no fresh pages. The mean is not
+    clamped, so near 0 bits it may read below 0. A degenerate alphabet yields
+    exactly 0 +/- 0.
     """
     if samples < MIN_MC_SAMPLES:
         raise ValueError(f"samples must be at least {MIN_MC_SAMPLES}, got {samples}")
@@ -376,7 +366,7 @@ def mi_monte_carlo_grouped(alphabet: PointSet, groups, noise: NoiseModel, sample
     keep = alphabet.probs > 0.0
     points, probs = alphabet.points[keep], alphabet.probs[keep]
     _, group_of = np.unique(groups[keep], return_inverse=True)
-    ln_pg = np.log(np.bincount(group_of, probs))
+    ln_p, ln_pg = np.log(probs)[:, None], np.log(np.bincount(group_of, probs))
     cdf = np.cumsum(probs)
     cdf /= cdf[-1]
     members = [np.flatnonzero(group_of == g) for g in range(ln_pg.size)]
@@ -401,9 +391,13 @@ def mi_monte_carlo_grouped(alphabet: PointSet, groups, noise: NoiseModel, sample
                 blk = slice(lo, lo + _MC_BLOCK)
                 k = _point_index(cdf, values[blk])
                 n = k.size
-                ys = [np.take(c, k) + d[blk] for c, d in zip(points.T, draws)]
-                expo = _log_joint(ys, points, probs, noise.sigma2, expo_table[:, :n], term_table[:, :n])
-                del ys  # spent: freed before the gather allocates
+                expo = expo_table[:, :n]
+                for c, d, terms in zip(points.T, draws, (expo, term_table[:, :n])):
+                    np.subtract(np.take(c, k), c[:, None], out=terms)  # s_k - s_l, then the noise
+                    terms += d[blk]
+                    terms *= terms
+                    terms /= -2.0 * noise.sigma2
+                    expo += ln_p if terms is expo else terms
                 expo -= expo.max(axis=0)
                 np.exp(expo, out=expo)
                 total = expo.sum(axis=0)
@@ -425,7 +419,7 @@ def mi_monte_carlo_grouped(alphabet: PointSet, groups, noise: NoiseModel, sample
             left -= m
 
     mean, stderr, _ = _mc_sample_stats(chunks())
-    return MiResult(max(mean, 0.0), stderr)
+    return MiResult(mean, stderr)
 
 
 def gaussian_capacity(snr: float, dims: str = "real") -> float:
@@ -482,7 +476,8 @@ def stream_mi_ocb(alpha: float, noise: NoiseModel, order: int = DEFAULT_QUAD_ORD
     V2 the sign on that axis. Given V1, the constellation decouples into a
     one-dimensional BPSK of energy 2*alpha^2, so
         I(V2;Y|V1) = mi_bpsk(2 alpha^2 / sigma2)
-    exactly, and I(V1;Y) is the remainder of the joint four-point rate.
+    exactly, and I(V1;Y) is the remainder of the joint four-point rate,
+    passed through ``_clip_bits`` into [0, 1], the range of a binary V1.
     Both 2 alpha^2 and gamma must be at most GAMMA_MAX, checked on alpha.
     """
     if not 0.0 < alpha <= np.sqrt(0.5 * GAMMA_MAX * min(1.0, noise.sigma2)):
@@ -494,5 +489,4 @@ def stream_mi_ocb(alpha: float, noise: NoiseModel, order: int = DEFAULT_QUAD_ORD
     i_joint = _quadrature(points, _QUARTERS, noise.sigma, order)
     # not mi_bpsk: at alpha = sqrt(GAMMA_MAX / 2), gamma rounds one unit past the ceiling
     i_v2_given_v1 = _bpsk_bits(gamma, order)
-    i_v1 = max(i_joint - i_v2_given_v1, 0.0)
-    return i_v1, i_v2_given_v1
+    return _clip_bits(i_joint - i_v2_given_v1, 2), i_v2_given_v1

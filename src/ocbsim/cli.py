@@ -62,7 +62,7 @@ class _IOFailure(Exception):
 def _config_flags(path: str, keys) -> list:
     """The ``key = value`` lines of a config file as ``--key=value`` flags."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise _IOFailure(f"cannot read config file {path}: {exc}") from exc
     except UnicodeDecodeError as exc:

@@ -386,7 +386,7 @@ def from_generator_file(path) -> LinearCode:
     line, entries the tokens 0 and 1 and nothing else."""
     path = Path(path)
     rows = []
-    for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for number, line in enumerate(path.read_text(encoding="utf-8-sig").splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

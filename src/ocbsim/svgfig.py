@@ -30,6 +30,12 @@ def _fmt(x: float) -> str:
     return f"{x:.2f}"
 
 
+def _nice_step(span: float) -> float:
+    """A 1-2-5 step that cuts span into at most 8 intervals."""
+    step = 10.0 ** np.floor(np.log10(span / 4.0))
+    return next(step * mult for mult in (1.0, 2.0, 5.0, 10.0) if span / (step * mult) <= 8)
+
+
 @dataclass
 class Series:
     label: str
@@ -73,18 +79,15 @@ class LineChart:
 
     def _x_ticks(self, x0, x1):
         if self.log_x:
-            decades = np.arange(np.ceil(x0 - 1e-9), np.floor(x1 + 1e-9) + 1)
-            return [(d, f"{10.0 ** d:g}") for d in decades]
+            step = max(_nice_step(x1 - x0), 1.0)  # whole decades
+            decades = np.arange(np.ceil((x0 - 1e-9) / step), np.floor((x1 + 1e-9) / step) + 1) * step
+            # below 1e-307, 10.0 ** d is subnormal and inexact
+            return [(d, f"{10.0 ** d:g}" if d >= -307 else f"1e{d:.0f}") for d in decades]
         ticks = np.linspace(x0, x1, 6)
         return [(t, f"{t:g}") for t in ticks]
 
     def _y_ticks(self, y0, y1):
-        span = y1 - y0
-        step = 10.0 ** np.floor(np.log10(span / 4.0))
-        for mult in (1.0, 2.0, 5.0, 10.0):
-            if span / (step * mult) <= 8:
-                step *= mult
-                break
+        step = _nice_step(y1 - y0)
         start = np.ceil(y0 / step) * step
         vals = np.arange(start, y1 + step / 2.0, step)
         return [(v, f"{v:g}") for v in vals]

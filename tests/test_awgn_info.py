@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.polynomial.hermite import hermgauss
 from scipy.special import logsumexp
 
-from ocbsim import awgn_info as ai, cli
+from ocbsim import awgn_info as ai, cli, rates
 
 # Frozen from an independent Monte Carlo estimator (10^7 draws each, fixed
 # seeds, run outside this package); bands are 3 standard errors.
@@ -288,7 +288,9 @@ def test_stream_split_is_the_checked_entry_bit_for_bit(gamma, sigma2, order):
     joint = ai.mi_awgn(ai.PointSet.uniform([(amp, 0.0), (0.0, amp), (-amp, 0.0), (0.0, -amp)]), noise, order)
     b = np.sqrt(2.0 * alpha * alpha / sigma2)
     sign = ai.mi_awgn(ai.PointSet.uniform([-b, b]), ai.NoiseModel(1.0), order).bits
-    assert ai.stream_mi_ocb(alpha, noise, order) == (max(joint.bits - sign, 0.0), sign)
+    i_v1, i_v2 = ai.stream_mi_ocb(alpha, noise, order)
+    assert (i_v1, i_v2) == (ai._clip_bits(joint.bits - sign, 2), sign)
+    assert 0.0 <= i_v1 <= 1.0
 
 
 @pytest.mark.parametrize("gamma", [np.nan, np.inf, -np.inf, -1.0, -5e-324, np.nextafter(ai.GAMMA_MAX, np.inf)])
@@ -519,8 +521,7 @@ def _ref_monte_carlo(points, probs, groups, sigma2, samples, seed, chunk):
                 ln_num[sel] = _ref_log_mixture([y[sel] for y in ys], [c[mask] for c in coords], pr_g, sigma2)
         values.append((ln_num - lnp) / LN2)
         left -= m
-    mean, stderr = _ref_two_pass(values)
-    return max(mean, 0.0), stderr
+    return _ref_two_pass(values)
 
 
 @pytest.mark.filterwarnings("ignore:divide by zero")
@@ -683,7 +684,8 @@ def test_rate_commands_call_no_lapack(monkeypatch, tmp_path):
 
 def _whole_chunk_monte_carlo(points, probs, groups, sigma2, samples, seed, chunk):
     """I(G;Y) by the whole-chunk arithmetic: random(m), then normal(0, sigma, m)
-    per dimension, then the masked (K, m) density; chunks merged by Chan's update."""
+    per dimension, then the masked (K, m) density from the point offsets plus
+    the noise; chunks merged by Chan's update, the mean not clamped."""
     points = np.asarray(points, dtype=float).reshape(len(probs), -1)
     probs = np.asarray(probs, dtype=float)
     _, group_of = np.unique(groups, return_inverse=True)
@@ -699,10 +701,11 @@ def _whole_chunk_monte_carlo(points, probs, groups, sigma2, samples, seed, chunk
         u = rng.random(m)
         noise = [rng.normal(0.0, sigma, m) for _ in points.T]
         k = np.searchsorted(cdf, u, side="right")
-        ys = [c[k] + n for c, n in zip(points.T, noise)]
-        expo = (ys[0] - points[:, :1]) ** 2 / (-2.0 * sigma2) + np.log(probs)[:, None]
-        for y, c in zip(ys[1:], points.T[1:]):
-            expo = expo + (y - c[:, None]) ** 2 / (-2.0 * sigma2)
+        # y - s_l as the point offset s_k - s_l plus the noise
+        diffs = [c[k] - c[:, None] + n for c, n in zip(points.T, noise)]
+        expo = diffs[0] ** 2 / (-2.0 * sigma2) + np.log(probs)[:, None]
+        for diff in diffs[1:]:
+            expo = expo + diff ** 2 / (-2.0 * sigma2)
         expo = np.exp(expo - expo.max(axis=0))
         g = group_of[k]
         numerator = (expo * (group_of[:, None] == g)).sum(axis=0)
@@ -716,7 +719,7 @@ def _whole_chunk_monte_carlo(points, probs, groups, sigma2, samples, seed, chunk
         m2 += m2_b + delta * delta * (count * m / total)
         count = total
         left -= m
-    return max(mean, 0.0), float(np.sqrt(m2 / count / count))
+    return mean, float(np.sqrt(m2 / count / count))
 
 
 MC_CASES = {
@@ -767,3 +770,38 @@ def test_mc_sample_stats_leave_their_chunks_unchanged():
     copies = [c.copy() for c in chunks]
     ai._mc_sample_stats((c, np.empty_like(c)) for c in chunks)
     assert all(np.array_equal(c, k) for c, k in zip(chunks, copies))
+
+
+# ---------------------------------------------------------------------------
+# each rate rule once: point offsets before the noise, and only _clip_bits clamps
+
+AXIS2 = [(2.0, 0.0), (0.0, 2.0), (-2.0, 0.0), (0.0, -2.0)]
+
+
+@pytest.mark.parametrize("points,centred,groups", [
+    ([1e16, 1e16 + 2.0], [0.0, 2.0], [0, 1]),
+    (np.add(AXIS2, 1e16), AXIS2, [0, 1, 0, 1]),
+    (np.add(AXIS2, 1e16), AXIS2, [0, 1, 2, 3]),
+], ids=["bpsk", "axis-grouping", "axis-ungrouped"])
+def test_monte_carlo_keeps_the_geometry_far_from_the_origin(points, centred, groups):
+    # s_k - s_l is exact for both sets, so the noise meets the same offsets
+    unit = ai.NoiseModel(1.0)
+    far, near = ai.PointSet.uniform(np.array(points)), ai.PointSet.uniform(np.array(centred))
+    got = ai.mi_monte_carlo_grouped(far, groups, unit, 200_000, 3)
+    assert got == ai.mi_monte_carlo_grouped(near, groups, unit, 200_000, 3)
+    if len(set(groups)) == len(groups):
+        assert ai.mi_monte_carlo(far, unit, 200_000, 3) == got
+
+
+@pytest.mark.parametrize("gamma", [192.0, 1e6, 1e300])
+def test_stream_split_never_gives_the_binary_axis_stream_more_than_one_bit(gamma):
+    assert ai.stream_mi_ocb(np.sqrt(gamma / 2.0), ai.NoiseModel(1.0), ai.MAX_QUAD_ORDER)[0] <= 1.0
+
+
+def test_monte_carlo_reports_a_mean_below_zero_as_measured():
+    # the axis grouping at gamma = 1e-4 carries about 2e-9 bits; seed 1's draws read below it
+    r = np.sqrt(1e-4)
+    alphabet = ai.PointSet.uniform(np.array([(r, 0.0), (0.0, r), (-r, 0.0), (0.0, -r)]))
+    mc = ai.mi_monte_carlo_grouped(alphabet, [0, 1, 0, 1], ai.NoiseModel(1.0), 20_000, 1)
+    assert mc.bits < 0.0
+    assert abs(mc.bits - rates.rate_ocb_exact(1e-4)[0]) < 3.0 * mc.stderr

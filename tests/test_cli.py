@@ -316,6 +316,17 @@ def test_config_that_is_not_utf8_is_a_usage_error_naming_the_file(tmp_path):
     assert list(tmp_path.iterdir()) == [cfg]
 
 
+def test_config_with_a_byte_order_mark_reads_as_without(tmp_path):
+    outs = []
+    for name, bom in (("plain", ""), ("bom", "\ufeff")):
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(f"{bom}points = 5\n", encoding="utf-8")
+        out = run_cli("curves", "--config", str(cfg), "--out", name, cwd=tmp_path)
+        assert out.returncode == 0, out.stderr
+        outs.append(read(tmp_path / name / "curves.csv"))
+    assert outs[0] == outs[1]
+
+
 def test_unwritable_output_is_an_io_error(tmp_path):
     blocker = tmp_path / "file"
     blocker.write_text("x")
@@ -484,6 +495,18 @@ def test_generator_file_that_is_not_utf8_is_a_usage_error_naming_the_file(tmp_pa
     assert out.returncode == 2
     assert f"{gen}: not UTF-8 text" in out.stderr and "Traceback" not in out.stderr
     assert list(tmp_path.iterdir()) == [gen]
+
+
+def test_generator_file_with_a_byte_order_mark_reads_as_without(tmp_path):
+    outs = []
+    for name, bom in (("plain", ""), ("bom", "\ufeff")):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "code.gen").write_text(f"{bom}1 0\n0 1\n", encoding="utf-8")
+        out = run_cli("simulate", "--code1", "@code.gen", "--code2", "identity2", "--trials", "4",
+                      cwd=tmp_path / name)
+        assert out.returncode == 0, out.stderr
+        outs.append(read(tmp_path / name / "sim.csv"))
+    assert outs[0] == outs[1]
 
 
 def test_simulate_refuses_a_non_ascii_code_number(tmp_path):
