@@ -31,36 +31,63 @@ _ML_MAX_K = 16
 _ML_METRIC_ENTRIES = 1 << 16  # frames x codewords per ML correlation chunk
 _BP_DEFAULT_ITERATIONS = 50
 LLR_CLIP = 30.0  # decoders saturate message magnitudes here
-# largest built-in generator, M x K entries: identity8192 (about 290 MB to
-# build); LDPC construction grows as n^3, and ldpc8192 takes seconds
+# largest built-in generator, M x K entries: identity8192 (about 240 MB to
+# build); LDPC elimination XORs whole rows held as Python ints (30 bits to a
+# digit), so it grows as n^3 / 30, and ldpc8192 takes about 1.2 s on a 2-CPU
+# x86-64 host
 MAX_GENERATOR_ENTRIES = 1 << 26
 
 
 def gf2_rank(mat: np.ndarray) -> int:
     """Rank of a binary matrix over GF(2)."""
-    return len(_gf2_rref(mat)[1])
+    return len(_gf2_basis(mat)[0])
+
+
+def _gf2_basis(mat: np.ndarray) -> tuple[dict[int, int], int]:
+    """Echelon basis of a binary matrix's rows over GF(2), and its width.
+
+    Entries are taken mod 2. Each row is packed once into a Python int,
+    bit c holding column c, and inserted keyed by its lowest set bit: while
+    a basis row owns that bit, XORing that row in clears it, until the row's
+    lowest bit is one no basis row owns or the row vanishes.
+    """
+    bits = (np.asarray(mat) % 2).astype(np.uint8, copy=False)
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    data, width = packed.tobytes(), packed.shape[1]
+    basis: dict[int, int] = {}
+    for r in range(packed.shape[0]):
+        row = int.from_bytes(data[r * width:(r + 1) * width], "little")
+        while row:
+            low = (row & -row).bit_length() - 1
+            owner = basis.get(low)
+            if owner is None:
+                basis[low] = row
+                break
+            row ^= owner
+    return basis, bits.shape[1]
 
 
 def _gf2_rref(mat: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form over GF(2); returns (rref, pivot columns)."""
-    a = (np.asarray(mat) % 2).astype(np.uint8).copy()
-    rows, cols = a.shape
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        hits = np.nonzero(a[r:, c])[0]
-        if hits.size == 0:
-            continue
-        p = r + hits[0]
-        a[[r, p]] = a[[p, r]]
-        elim = np.nonzero(a[:, c])[0]
-        elim = elim[elim != r]
-        a[elim] ^= a[r]
-        pivots.append(c)
-        r += 1
-    return a[:r], pivots
+    """Reduced row echelon form over GF(2); returns (rref, pivot columns).
+
+    The echelon basis is reduced in descending pivot order, so each XOR
+    with an already-reduced row clears exactly one pivot bit.
+    """
+    basis, cols = _gf2_basis(mat)
+    pivots = sorted(basis)
+    pivot_mask = sum(1 << c for c in pivots)
+    for c in reversed(pivots):
+        row = basis[c]
+        above = (row & pivot_mask) ^ (1 << c)
+        while above:
+            bit = above & -above
+            row ^= basis[bit.bit_length() - 1]
+            above ^= bit
+        basis[c] = row
+    width = -(-cols // 8)
+    data = b"".join(basis[c].to_bytes(width, "little") for c in pivots)
+    packed = np.frombuffer(data, dtype=np.uint8).reshape(len(pivots), width)
+    return np.unpackbits(packed, axis=1, count=cols, bitorder="little"), pivots
 
 
 def _binary_matrix(mat, what: str) -> np.ndarray:
@@ -98,8 +125,8 @@ class _SlotLayout:
     @classmethod
     def of(cls, parity: np.ndarray) -> "_SlotLayout":
         rows = parity[parity.any(axis=1)]
-        checks, var = np.nonzero(rows)  # row-major edges
-        degrees = np.count_nonzero(rows, axis=1)
+        checks, var = np.divmod(np.flatnonzero(rows), rows.shape[1])  # row-major edges
+        degrees = np.bincount(checks, minlength=rows.shape[0])
         slot = np.arange(var.size) - (np.cumsum(degrees) - degrees)[checks]
         shape = (max(1, degrees.max(initial=0)), rows.shape[0] + 1)
         flat = np.ravel_multi_index((slot, checks), shape)
@@ -151,7 +178,8 @@ class LinearCode:
                 raise ValueError(f"source positions must be {k} generator rows forming I_{k}")
             self.source_positions = pos
         self.generator = g
-        self._identity = np.array_equal(g, np.eye(k, dtype=np.uint8))
+        # K ones, all on the diagonal of a square matrix; no K x K temporary
+        self._identity = m == k and np.count_nonzero(g) == k and bool(g.diagonal().all())
         self._generator_words = np.ascontiguousarray(_pack_words(g).T)  # (words, M), for encode
         self._codebook = None
         self._slots = None
@@ -349,16 +377,24 @@ def identity_code(n: int) -> LinearCode:
 
 
 def ldpc_code(n: int = 1024, seed: int = 0, var_degree: int = 3, check_degree: int = 6) -> LinearCode:
-    """(3,6)-regular LDPC of even block length n via random socket permutation.
+    """Regular LDPC of block length n via random socket permutation.
 
     Edge sockets (var_degree per column, check_degree per row) are matched
-    by a seeded permutation; repeated edges cancel mod 2, so a few rows end
-    up slightly irregular, which is fine for waterfall demonstrations. The
-    generator is derived from the reduced check matrix; source bits sit at
-    its non-pivot positions. K = n - rank(H), slightly above n/2.
+    by a seeded permutation, so n * var_degree must be a multiple of
+    check_degree; for the default (3,6) that means n even. Repeated edges
+    cancel mod 2, so a few rows end up slightly irregular, which is fine
+    for waterfall demonstrations. The generator is derived from the reduced
+    check matrix; source bits sit at its non-pivot positions. K = n -
+    rank(H) >= n (1 - var_degree / check_degree), which is n/2 at (3,6),
+    with equality when the checks are independent.
     """
-    if n % 2 or n < 12:
-        raise ValueError("LDPC block length must be even and >= 12")
+    if n < 12:
+        raise ValueError("LDPC block length must be >= 12")
+    if var_degree < 1 or check_degree < 1:
+        raise ValueError(f"LDPC degrees must be >= 1, got ({var_degree}, {check_degree})")
+    if n * var_degree % check_degree:
+        raise ValueError(f"LDPC sockets do not match: n * var_degree = {n * var_degree} "
+                         f"is not a multiple of check_degree = {check_degree}")
     n_checks = n * var_degree // check_degree
     rng = np.random.default_rng(seed)
     var_sockets = np.repeat(np.arange(n), var_degree)
@@ -366,7 +402,7 @@ def ldpc_code(n: int = 1024, seed: int = 0, var_degree: int = 3, check_degree: i
     perm = rng.permutation(n * var_degree)
     h = np.zeros((n_checks, n), dtype=np.uint8)
     np.add.at(h, (check_sockets[perm], var_sockets), 1)
-    h %= 2
+    h &= 1
     h = h[h.any(axis=1)]  # double edges cancel; drop any row left empty
 
     rref, pivots = _gf2_rref(h)
@@ -377,7 +413,7 @@ def ldpc_code(n: int = 1024, seed: int = 0, var_degree: int = 3, check_degree: i
     g = np.zeros((n, k), dtype=np.uint8)
     g[free, np.arange(k)] = 1
     # pivot bit p_i = sum of rref[i, free] * source bits
-    g[np.asarray(pivots)] = rref[:, free]
+    g[pivots] = rref[:, free]
     return LinearCode(g, parity=h, source_positions=free)
 
 

@@ -1,6 +1,7 @@
 """GF(2) codec layer: encoding algebra, exhaustive decoder oracles, the
 LDPC construction, and matrix-file loading."""
 
+import hashlib
 import itertools
 import subprocess
 import sys
@@ -40,6 +41,71 @@ def test_gf2_rank_known_cases():
     assert codec.gf2_rank(m) == 2
 
 
+def column_rref_reference(mat):
+    """GF(2) reduced row echelon form one column at a time: swap the first
+    row holding the column's bit into place and clear the bit everywhere
+    else. Returns (rref, pivot columns)."""
+    a = (np.asarray(mat) % 2).astype(np.uint8).copy()
+    rows, cols = a.shape
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        hits = np.nonzero(a[r:, c])[0]
+        if hits.size == 0:
+            continue
+        p = r + hits[0]
+        a[[r, p]] = a[[p, r]]
+        elim = np.nonzero(a[:, c])[0]
+        elim = elim[elim != r]
+        a[elim] ^= a[r]
+        pivots.append(c)
+        r += 1
+    return a[:r], pivots
+
+
+def _random_bits(shape, density, seed):
+    return (np.random.default_rng(seed).random(shape) < density).astype(np.uint8)
+
+
+def _assert_matches_column_reference(mat):
+    rref, pivots = codec._gf2_rref(mat)
+    ref, ref_pivots = column_rref_reference(mat)
+    assert (rref.dtype, rref.shape) == (ref.dtype, ref.shape)
+    assert rref.tobytes() == ref.tobytes()
+    assert pivots == ref_pivots
+    assert all(type(p) is int for p in pivots)
+    assert codec.gf2_rank(mat) == len(ref_pivots)
+
+
+# widths 63, 64, 65, 1023 and 1025 straddle the 8- and 64-bit packing boundaries
+@pytest.mark.parametrize("shape", [(0, 0), (0, 5), (5, 0), (1, 1), (40, 7), (7, 40), (9, 63),
+                                   (9, 64), (9, 65), (70, 64), (12, 1023), (12, 1025)])
+@pytest.mark.parametrize("density", [0.0, 0.3, 1.0])
+def test_gf2_rref_matches_the_column_by_column_reference(shape, density):
+    for seed in range(3):
+        _assert_matches_column_reference(_random_bits(shape, density, seed))
+
+
+@pytest.mark.parametrize("shape", [(6, 6), (20, 65), (40, 30)])
+def test_gf2_rref_drops_a_dependent_last_row(shape):
+    m = _random_bits(shape, 0.3, 1)
+    m[-1] = np.bitwise_xor.reduce(m[:-2:2], axis=0)
+    assert codec.gf2_rank(m) < shape[0]
+    _assert_matches_column_reference(m)
+
+
+@pytest.mark.parametrize("convert", [lambda m: m.astype(bool), lambda m: 2 + m.astype(np.int64),
+                                     lambda m: -m.astype(np.int64)],
+                         ids=["bool", "plus-2", "minus-1"])
+def test_gf2_rref_reduces_other_entries_mod_2(convert):
+    for shape in ((10, 65), (30, 12)):
+        m = _random_bits(shape, 0.3, 2)
+        _assert_matches_column_reference(convert(m))
+        assert codec._gf2_rref(convert(m))[0].tobytes() == codec._gf2_rref(m)[0].tobytes()
+
+
 # ---------------------------------------------------------------------------
 # LinearCode construction
 
@@ -51,6 +117,17 @@ def test_generator_validation():
         codec.LinearCode(np.ones((2, 4), dtype=np.uint8))  # K > M
     with pytest.raises(ValueError):
         codec.LinearCode(np.array([[1, 1], [1, 1], [0, 0]], dtype=np.uint8))  # rank 1
+
+
+@pytest.mark.parametrize("generator,kind", [
+    (np.eye(5), "identity"),
+    (np.ones((1, 1)), "identity"),
+    (np.eye(5)[[1, 0, 2, 3, 4]], "general"),  # K ones, two off the diagonal
+    (np.eye(3) + np.eye(3, k=1), "general"),  # the diagonal and more
+    (np.eye(6, 5), "general"),  # I_5 above a zero row: M > K
+])
+def test_only_the_square_identity_generator_decodes_per_bit(generator, kind):
+    assert codec.LinearCode(generator.astype(np.uint8)).kind == kind
 
 
 def test_code_shape_properties():
@@ -228,10 +305,12 @@ def test_ml_decoder_corrects_every_single_flip():
 # LDPC
 
 
-def test_ldpc_structure():
-    code = codec.ldpc_code(96, seed=0)
+@pytest.mark.parametrize("n", [96, 4096])
+def test_ldpc_structure(n):
+    code = codec.ldpc_code(n, seed=0)
     h, g = code.parity, code.generator
-    assert not ((h @ g) % 2).any()
+    # float32 products go through BLAS and stay exact: each entry is a sum of at most 6 ones
+    assert not ((h.astype(np.float32) @ g.astype(np.float32)) % 2).any()
     assert code.K == code.M - codec.gf2_rank(h)
     # (3,6)-regular up to double-edge cancellation: row weight <= 6, col <= 3
     assert h.sum(axis=1).max() <= 6
@@ -262,6 +341,59 @@ def test_ldpc_requires_even_workable_length():
         codec.ldpc_code(10)
     with pytest.raises(ValueError):
         codec.ldpc_code(25)
+
+
+# sockets the permutation cannot match, refused before anything is drawn
+@pytest.mark.parametrize("n,var_degree,check_degree,match", [
+    (1026, 3, 12, "not a multiple of check_degree"),
+    (20, 3, 7, "not a multiple of check_degree"),
+    (24, 3, 0, "degrees must be >= 1"),
+    (24, 0, 6, "degrees must be >= 1"),
+])
+def test_ldpc_refuses_degrees_its_sockets_cannot_match(n, var_degree, check_degree, match):
+    with pytest.raises(ValueError, match=match):
+        codec.ldpc_code(n, var_degree=var_degree, check_degree=check_degree)
+
+
+def test_ldpc_whose_edges_all_cancel_builds_an_uncoded_parity_free_code():
+    # one check takes every variable twice, so H has no rows left
+    code = codec.ldpc_code(12, var_degree=2, check_degree=24)
+    assert code.parity.shape == (0, 12)
+    assert np.array_equal(code.generator, np.eye(12, dtype=np.uint8))
+
+
+def _sha256(a):
+    # bit matrices as bytes, index arrays as little-endian int64 on any platform
+    a = np.asarray(a)
+    return hashlib.sha256(a.astype(np.uint8 if a.dtype == np.uint8 else "<i8").tobytes()).hexdigest()
+
+
+# the construction's bytes; a change to any of them moves every LDPC sim.csv
+_LDPC_DIGESTS = {
+    (96, 1): {
+        "generator": ((96, 48), "57696930c0265a345f0bd07836ce179c9c3dcd2ff10077c06d370414d013fbc1"),
+        "parity": ((48, 96), "4eb9ef11892b35dd2a7fb2380906726b6a6fdc2b031e4a63db0dd28823488400"),
+        "source_positions": ((48,), "e634d2f83f889d324d74b6fdd4682f53a7e3d624200015b22a296c1a717de44d"),
+        "slot_var": ((6, 49), "2ed57354b27e3117a5cf7344eaa0e3b5ba3b66a554a469fc113599ac96f73b2f"),
+        "var_slots": ((3, 96), "76fbad4597d8fb7c735c98ae90d5bb6a1e314fdc008384999e587a3052f1be9f"),
+    },
+    (1024, 0): {
+        "generator": ((1024, 512), "7205d2e814e2c85fe5d856bee1f478f8ba737be161d102f2206f74fdb999ee8f"),
+        "parity": ((512, 1024), "f479c497b3da31dc7f550d8f5c8f600ac011a6be70486e6eabd2ae978278952c"),
+        "source_positions": ((512,), "f3749b3f1e0b6e17234281c2f92fb5fa71ea192cb7c94dfd9b3a8d5cf6480c26"),
+        "slot_var": ((6, 513), "b5e3c6ae8fc1495188326667e12bf980cec0e1f2a8de9bdff949124083349687"),
+        "var_slots": ((3, 1024), "43c4720468b9aaecea9b0c20ef9f5d1eafff7a09dddde54774f6219cf083acac"),
+    },
+}
+
+
+@pytest.mark.parametrize("n,seed", sorted(_LDPC_DIGESTS))
+def test_ldpc_construction_bytes_are_pinned(n, seed):
+    code = codec.ldpc_code(n, seed=seed)
+    fields = {"generator": code.generator, "parity": code.parity,
+              "source_positions": code.source_positions,
+              "slot_var": code._slots.slot_var, "var_slots": code._slots.var_slots}
+    assert {name: (a.shape, _sha256(a)) for name, a in fields.items()} == _LDPC_DIGESTS[n, seed]
 
 
 def test_ldpc_field_guard():
