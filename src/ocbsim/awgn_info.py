@@ -36,12 +36,17 @@ grouping of the points. It does this arithmetic in cache-sized blocks of
 samples, finds each sample's point by counting cdf entries rather than by a
 search, gathers each sample's group term with one flat ``np.take``, and
 reduces without BLAS, so its working set is O(m) in the m samples of a
-chunk and its result does not depend on the block size. Its per-sample
-values overwrite the chunk's uniform draws, and the block tables are
-allocated once per estimate. Like the kernel, it adds the noise to the
-point offsets s_k - s_l, and it returns its sample mean unclamped, so near
-0 bits it may read slightly below 0: ``_clip_bits`` is the one clamp.
-Both backends leave points of zero prior out.
+chunk and its result does not depend on the block size. A chunk holds two
+sample rows: the uniforms, which its per-sample values overwrite, and a 2D
+set's first noise dimension, which the deviations from the mean overwrite.
+The last dimension's noise is drawn a block at a time, the same draws as
+one fill, into a buffer allocated once per estimate with the block tables.
+It refuses a noise variance at which a sample's own exponent could
+overflow, and takes any other exponent past float range as a term of 0.
+Like the kernel, it adds the noise to the point offsets s_k - s_l, and it
+returns its sample mean unclamped, so near 0 bits it may read slightly
+below 0: ``_clip_bits`` is the one clamp. Both backends leave points of
+zero prior out.
 """
 
 from __future__ import annotations
@@ -332,9 +337,13 @@ def mi_monte_carlo_grouped(alphabet: PointSet, groups, noise: NoiseModel, sample
     alphabet; used to cross-check the chain-rule split of a layered labeling
     against quadrature. Points of zero prior are left out. Each chunk of m
     samples draws one uniform(m) u, then one normal(0, sigma, m) per
-    dimension, all into one (1 + D, m) array: the noise as sigma times
-    ``standard_normal``, the same values, since ``normal`` returns
-    0 + sigma z for the same z. Sample i's point is the number of cdf
+    dimension: the noise as sigma times ``standard_normal``, the same values,
+    since ``normal`` returns 0 + sigma z for the same z. The chunk holds two
+    rows of m: the uniforms, and a 2D set's first noise dimension. The last
+    dimension's noise is drawn a block at a time, just before that block's
+    arithmetic, into one block-sized buffer. numpy fills its ziggurat
+    normals one after another from the bit generator, so the blocks make up
+    the same draws as one fill of m. Sample i's point is the number of cdf
     entries at or below u_i, the index ``Generator.choice`` with ``p`` takes
     (cdf[-1] is 1.0 and u_i < 1). The density is then computed in blocks of
     _MC_BLOCK samples, so each (K, block) table stays in cache: the exponent table
@@ -350,16 +359,28 @@ def mi_monte_carlo_grouped(alphabet: PointSet, groups, noise: NoiseModel, sample
     flat ``np.take`` at row * width + lane. Chunks merge by Chan et al.'s
     update, and no reduction calls BLAS, whose threaded dot product would
     wake its worker pool. The working set is O(m), and no chunk-sized array
-    is allocated beyond the draws' one: each block's values overwrite its
-    uniforms once they are read, and the deviations from the mean overwrite
-    the first noise draws. The two (K, block) tables are allocated once per
-    estimate. One allocation a chunk is also one the allocator can keep for
-    the next estimate, which then touches no fresh pages. The mean is not
-    clamped, so near 0 bits it may read below 0. A degenerate alphabet yields
-    exactly 0 +/- 0.
+    is allocated beyond the two rows: each block's values overwrite its
+    uniforms once they are read, and the deviations from the mean take the
+    second row, after a 2D set's first-dimension noise. The two (K, block)
+    tables and the noise buffer are allocated once per estimate. One
+    allocation a chunk is also one the allocator can keep for the next
+    estimate, which then touches no fresh pages. The mean is not clamped, so
+    near 0 bits it may read below 0. A degenerate alphabet yields exactly
+    0 +/- 0.
+
+    A noise variance above float max / 150 is refused, since a sample's own
+    term (sigma z)^2 could overflow there. Any other exponent past float
+    range becomes -inf without a warning: a term of exactly 0 in the sums.
     """
     if samples < MIN_MC_SAMPLES:
         raise ValueError(f"samples must be at least {MIN_MC_SAMPLES}, got {samples}")
+    # numpy's ziggurat draws |z| < r + sqrt(2 * 53 ln 2) < 12.23, with r = 3.654 the
+    # start of its tail and 2^-53 the least 1 - U of its uniforms; so (sigma z)^2 < 150
+    # sigma2 keeps each sample's own term, and with it its column's largest, finite
+    sigma2_max = np.finfo(float).max / 150.0
+    if noise.sigma2 > sigma2_max:
+        raise ValueError(f"the Monte Carlo estimator needs a noise variance of at most "
+                         f"{sigma2_max:g}, got {noise.sigma2:g}")
     groups = np.asarray(groups, dtype=int).reshape(-1)
     if groups.shape[0] != alphabet.size:
         raise ValueError("groups must label every alphabet point")
@@ -372,29 +393,35 @@ def mi_monte_carlo_grouped(alphabet: PointSet, groups, noise: NoiseModel, sample
     members = [np.flatnonzero(group_of == g) for g in range(ln_pg.size)]
     rng = np.random.default_rng(seed)
     sigma = noise.sigma
+    dims = points.shape[1]
     width = min(samples, _MC_BLOCK)
     # the exponent table, and the terms of a further dimension, then the group sums
     expo_table, term_table = np.empty((2, points.shape[0], width))
     sums = term_table.reshape(-1)  # the flat table a sample's group sum is gathered from
+    last = np.empty(width)  # the last dimension's noise, one block at a time
 
     def chunks():
         left = samples
         while left > 0:
             m = min(left, _MC_CHUNK)
-            # the uniforms, until their block's values replace them, and the noise
-            values, *draws = np.empty((1 + points.shape[1], m))
+            # the uniforms, until their block's values replace them, and a 2D
+            # set's first noise dimension, until the deviations replace it
+            values, spare = np.empty((2, m))
             rng.random(out=values)
-            for d in draws:
-                rng.standard_normal(out=d)
-                d *= sigma
+            if dims == 2:
+                rng.standard_normal(out=spare)
+                spare *= sigma
             for lo in range(0, m, _MC_BLOCK):
                 blk = slice(lo, lo + _MC_BLOCK)
                 k = _point_index(cdf, values[blk])
                 n = k.size
+                noise_last = rng.standard_normal(out=last[:n])
+                noise_last *= sigma
+                draws = (spare[blk], noise_last)[-dims:]
                 expo = expo_table[:, :n]
                 for c, d, terms in zip(points.T, draws, (expo, term_table[:, :n])):
                     np.subtract(np.take(c, k), c[:, None], out=terms)  # s_k - s_l, then the noise
-                    terms += d[blk]
+                    terms += d
                     terms *= terms
                     terms /= -2.0 * noise.sigma2
                     expo += ln_p if terms is expo else terms
@@ -415,10 +442,11 @@ def mi_monte_carlo_grouped(alphabet: PointSet, groups, noise: NoiseModel, sample
                 np.log(term, out=term)
                 term -= np.take(ln_pg, g)
                 term /= LN2
-            yield values, draws[0]
+            yield values, spare
             left -= m
 
-    mean, stderr, _ = _mc_sample_stats(chunks())
+    with np.errstate(over="ignore"):  # an exponent past float range is -inf: a term of exactly 0
+        mean, stderr, _ = _mc_sample_stats(chunks())
     return MiResult(mean, stderr)
 
 

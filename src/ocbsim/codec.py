@@ -31,7 +31,7 @@ _ML_MAX_K = 16
 _ML_METRIC_ENTRIES = 1 << 16  # frames x codewords per ML correlation chunk
 _BP_DEFAULT_ITERATIONS = 50
 LLR_CLIP = 30.0  # decoders saturate message magnitudes here
-# largest built-in generator, M x K entries: identity8192 (about 240 MB to
+# largest built-in generator, M x K entries: identity8192 (about 175 MB to
 # build); LDPC elimination XORs whole rows held as Python ints (30 bits to a
 # digit), so it grows as n^3 / 30, and ldpc8192 takes about 1.2 s on a 2-CPU
 # x86-64 host
@@ -39,19 +39,23 @@ MAX_GENERATOR_ENTRIES = 1 << 26
 
 
 def gf2_rank(mat: np.ndarray) -> int:
-    """Rank of a binary matrix over GF(2)."""
-    return len(_gf2_basis(mat)[0])
+    """Rank of a binary matrix over GF(2); entries are taken mod 2."""
+    return len(_gf2_basis(_mod2(mat))[0])
 
 
-def _gf2_basis(mat: np.ndarray) -> tuple[dict[int, int], int]:
-    """Echelon basis of a binary matrix's rows over GF(2), and its width.
+def _mod2(mat) -> np.ndarray:
+    return (np.asarray(mat) % 2).astype(np.uint8, copy=False)
 
-    Entries are taken mod 2. Each row is packed once into a Python int,
-    bit c holding column c, and inserted keyed by its lowest set bit: while
-    a basis row owns that bit, XORing that row in clears it, until the row's
-    lowest bit is one no basis row owns or the row vanishes.
+
+def _gf2_basis(bits: np.ndarray) -> tuple[dict[int, int], int]:
+    """Echelon basis of a 0/1 matrix's rows over GF(2), and its width.
+
+    Each row is packed once into a Python int, bit c holding column c, and
+    inserted keyed by its lowest set bit: while a basis row owns that bit,
+    XORing that row in clears it, until the row's lowest bit is one no basis
+    row owns or the row vanishes. Packing reads any nonzero entry as 1, so
+    other integers are reduced mod 2 first.
     """
-    bits = (np.asarray(mat) % 2).astype(np.uint8, copy=False)
     packed = np.packbits(bits, axis=1, bitorder="little")
     data, width = packed.tobytes(), packed.shape[1]
     basis: dict[int, int] = {}
@@ -73,7 +77,7 @@ def _gf2_rref(mat: np.ndarray) -> tuple[np.ndarray, list[int]]:
     The echelon basis is reduced in descending pivot order, so each XOR
     with an already-reduced row clears exactly one pivot bit.
     """
-    basis, cols = _gf2_basis(mat)
+    basis, cols = _gf2_basis(_mod2(mat))
     pivots = sorted(basis)
     pivot_mask = sum(1 << c for c in pivots)
     for c in reversed(pivots):
@@ -91,12 +95,19 @@ def _gf2_rref(mat: np.ndarray) -> tuple[np.ndarray, list[int]]:
 
 
 def _binary_matrix(mat, what: str) -> np.ndarray:
+    """A uint8 copy of a 2D matrix of 0/1 entries, which the caller's array cannot change."""
     mat = np.asarray(mat)
     if mat.ndim != 2:
         raise ValueError(f"{what} must be a 2D matrix")
-    if not ((mat == 0) | (mat == 1)).all():
+    if mat.dtype in (np.uint8, np.bool_):  # one reduction over the copy
+        bits = mat.astype(np.uint8)
+        binary = bits.max(initial=0) <= 1
+    else:
+        binary = ((mat == 0) | (mat == 1)).all()
+        bits = mat.astype(np.uint8)
+    if not binary:
         raise ValueError(f"{what} entries must be 0/1")
-    return mat.astype(np.uint8)
+    return bits
 
 
 def _pack_words(bits: np.ndarray) -> np.ndarray:
@@ -167,7 +178,7 @@ class LinearCode:
         if not (0 < k <= m):
             raise ValueError(f"need 0 < K <= M, got K={k}, M={m}")
         if self.source_positions is None:
-            if gf2_rank(g) != k:
+            if len(_gf2_basis(g)[0]) != k:
                 raise ValueError("generator must have full column rank over GF(2)")
         else:
             # decoders read the source bits at these positions; G's rows

@@ -1,6 +1,7 @@
 """Mutual-information engine: closed-form anchors, frozen Monte Carlo
 oracles, backend agreement, and structural properties."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -589,6 +590,21 @@ def test_monte_carlo_working_set_stays_linear_in_the_samples():
     assert peak < 16 * 2**20
 
 
+def test_monte_carlo_holds_two_sample_rows_a_chunk():
+    # uniforms then values, and the first noise dimension then the deviations,
+    # 3.2 MB at 200k samples; the last dimension's noise is drawn a block at a
+    # time, where a third 200k-sample row would take the traced peak to 5.4 MB
+    alphabet = ai.PointSet.uniform(np.array(MC_CASES["axis-grouping"][0]))
+    noise = ai.NoiseModel(1.0)
+    tracemalloc.start()
+    try:
+        ai.mi_monte_carlo_grouped(alphabet, [0, 1, 0, 1], noise, 200_000, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.5 * 2**20
+
+
 def test_mc_sample_stats_survive_a_large_offset():
     # E[x^2] - E[x]^2 loses every digit here; merged (count, mean, M2) does not
     rng = np.random.default_rng(4)
@@ -742,10 +758,14 @@ def test_monte_carlo_is_bit_identical_to_whole_chunk_arithmetic(case, seed):
     assert (got.bits, got.stderr) == want
 
 
-def test_monte_carlo_is_bit_identical_across_chunks(monkeypatch):
+@pytest.mark.parametrize("case,probs", [
+    ("axis-grouping", [0.1, 0.2, 0.3, 0.4]),
+    ("bpsk", [0.3, 0.7]),  # D = 1: the streamed noise row is the only one
+])
+def test_monte_carlo_is_bit_identical_across_chunks(case, probs, monkeypatch):
     monkeypatch.setattr(ai, "_MC_CHUNK", 7_000)
-    points, groups = MC_CASES["axis-grouping"]
-    probs = np.array([0.1, 0.2, 0.3, 0.4])
+    points, groups = MC_CASES[case]
+    probs = np.array(probs)
     got = ai.mi_monte_carlo_grouped(ai.PointSet(np.array(points), probs), np.array(groups),
                                     ai.NoiseModel(0.6), 20_000, 11)
     assert (got.bits, got.stderr) == _whole_chunk_monte_carlo(points, probs, groups, 0.6, 20_000, 11, 7_000)
@@ -805,3 +825,31 @@ def test_monte_carlo_reports_a_mean_below_zero_as_measured():
     mc = ai.mi_monte_carlo_grouped(alphabet, [0, 1, 0, 1], ai.NoiseModel(1.0), 20_000, 1)
     assert mc.bits < 0.0
     assert abs(mc.bits - rates.rate_ocb_exact(1e-4)[0]) < 3.0 * mc.stderr
+
+
+# ---------------------------------------------------------------------------
+# the Monte Carlo estimator at the extremes of the noise variance
+
+MC_SIGMA2_MAX = np.finfo(float).max / 150.0
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("sigma2", [5e-324, 1e-300, 1e306, MC_SIGMA2_MAX, 1e307, np.finfo(float).max])
+@pytest.mark.parametrize("case", ["bpsk", "axis-grouping"])
+def test_monte_carlo_at_the_extremes_of_the_noise_variance(case, sigma2):
+    # 1e307 gave nan +/- nan: (sigma z)^2 overflowed in every row of a column;
+    # 5e-324 warned of an overflow in the divide, a term that is exactly 0
+    points, groups = MC_CASES[case]
+    alphabet = ai.PointSet.uniform(np.array(points))
+    noise = ai.NoiseModel(sigma2)
+    if sigma2 > MC_SIGMA2_MAX:
+        with pytest.raises(ValueError, match=re.escape(f"at most {MC_SIGMA2_MAX:g}")):
+            ai.mi_monte_carlo_grouped(alphabet, groups, noise, 200_000, 0)
+        return
+    with np.errstate(over="ignore"):  # the quadrature's o (2x - o) overflows at 5e-324
+        want = ai.mi_awgn(alphabet, noise).bits
+        if case == "axis-grouping":  # I(V1;Y) = I(X;Y) - I(V2;Y|V1), a BPSK along either axis
+            want -= ai.mi_awgn(ai.PointSet.uniform([1.2, -1.2]), noise).bits
+    got = ai.mi_monte_carlo_grouped(alphabet, groups, noise, 200_000, 0)
+    assert np.isfinite(got.bits) and np.isfinite(got.stderr)
+    assert abs(got.bits - want) <= 3.0 * got.stderr + 1e-12  # 1e-12: the quadrature's rounding

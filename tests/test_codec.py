@@ -119,6 +119,32 @@ def test_generator_validation():
         codec.LinearCode(np.array([[1, 1], [1, 1], [0, 0]], dtype=np.uint8))  # rank 1
 
 
+@pytest.mark.parametrize("dtype,entry", [
+    (np.uint8, 2), (np.uint8, 255), (np.int64, 2), (np.int64, -1), (float, 0.5), (float, -1.0),
+])
+def test_generator_refuses_an_entry_other_than_0_or_1(dtype, entry):
+    g = np.eye(3).astype(dtype)
+    g[1, 2] = entry
+    with pytest.raises(ValueError, match="entries must be 0/1"):
+        codec.LinearCode(g)
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, bool, np.int64, float])
+@pytest.mark.parametrize("parity", [False, True])
+def test_code_keeps_its_own_copy_of_its_matrices(dtype, parity):
+    # the code copies each matrix once, so writing to the caller's array moves nothing
+    ldpc = codec.ldpc_code(24, seed=1)
+    g, h = (m.astype(dtype) for m in (ldpc.generator, ldpc.parity))
+    code = codec.LinearCode(g, h if parity else None, ldpc.source_positions if parity else None)
+    assert code.generator.dtype == np.uint8 and not np.shares_memory(code.generator, g)
+    g[...] = 0
+    h[...] = 0
+    assert np.array_equal(code.generator, ldpc.generator)
+    if parity:
+        assert np.array_equal(code.parity, ldpc.parity)
+    assert code.kind == ("ldpc" if parity else "general")
+
+
 @pytest.mark.parametrize("generator,kind", [
     (np.eye(5), "identity"),
     (np.ones((1, 1)), "identity"),
