@@ -104,7 +104,8 @@ class PointSet:
     """Input alphabet: K points in D = 1 or 2 real dimensions with priors.
 
     ``points`` is stored as a (K, D) array; a flat sequence of K amplitudes
-    is a D = 1 alphabet, and any shape but (K,), (K, 1) or (K, 2) is refused.
+    is a D = 1 alphabet, and any shape but (K,), (K, 1) or (K, 2) is refused,
+    as are a non-finite point and a prior outside [0, 1] or NaN.
     """
 
     points: np.ndarray
@@ -116,15 +117,17 @@ class PointSet:
             pts = pts[:, None]
         if pts.ndim != 2 or pts.shape[1] not in (1, 2):
             raise ValueError(f"alphabet points must have shape (K,), (K, 1) or (K, 2), got {pts.shape}")
+        if not np.isfinite(pts).all():
+            raise ValueError("alphabet points must be finite")
         probs = np.asarray(self.probs, dtype=float).reshape(-1)
         if pts.shape[0] == 0:
             raise ValueError("alphabet must contain at least one point")
         if pts.shape[0] != probs.shape[0]:
             raise ValueError("points and probs must have the same length")
-        if np.any(probs < 0.0):
-            raise ValueError("probabilities must be nonnegative")
+        if not ((probs >= 0.0) & (probs <= 1.0)).all():  # NaN fails both; K terms of at most 1 sum finite
+            raise ValueError("probabilities must lie in [0, 1]")
         if abs(float(probs.sum()) - 1.0) > _PROB_TOL:
-            raise ValueError(f"probabilities must sum to 1, got {probs.sum()!r}")
+            raise ValueError(f"probabilities must sum to 1, got {float(probs.sum())}")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "probs", probs)
 
@@ -216,13 +219,16 @@ def mi_awgn(alphabet: PointSet, noise: NoiseModel, order: int = DEFAULT_QUAD_ORD
 
     The checked entry: the alphabet and noise come as a PointSet and a
     NoiseModel, points of zero prior are left out, and an alphabet of one
-    distinct point carries 0 bits; the rest is ``_quadrature``.
+    distinct point carries 0 bits; the rest is ``_quadrature``. An offset
+    past float range in noise units, at a tiny noise variance or between
+    points far apart, makes an exponent -inf: a term of exactly 0.
     """
     keep = alphabet.probs > 0.0
     points, probs = alphabet.points[keep], alphabet.probs[keep]
     if np.all(points == points[0]):
         return MiResult(0.0)
-    return MiResult(_quadrature(points, probs, noise.sigma, order))
+    with np.errstate(over="ignore"):  # not in the kernel, which the named curves call bare
+        return MiResult(_quadrature(points, probs, noise.sigma, order))
 
 
 @lru_cache(maxsize=None)

@@ -339,13 +339,13 @@ def _verify_backends(rep: _Report, opt: dict, seed: int) -> None:
     worst_allowed = np.inf
     for idx, g in enumerate(_VERIFY_SNRS):
         r, c = np.sqrt(g), np.sqrt(g / 2.0)
+        row = rates.rate_row(g, order)
         # (points, groups, exact rate): BPSK, QPSK, and the 2-vs-2 axis
         # grouping of the four-point set at E_s = g, whose rate is I(V1;Y)
         cases = (
-            ([r, -r], [0, 1], awgn_info.mi_bpsk(g, order)),
-            ([[c, c], [-c, c], [c, -c], [-c, -c]], [0, 1, 2, 3], awgn_info.mi_qpsk(g, order)),
-            ([[r, 0.0], [0.0, r], [-r, 0.0], [0.0, -r]], [0, 1, 0, 1],
-             rates.rate_ocb_exact(g, order)[0]),
+            ([r, -r], [0, 1], row.i_bpsk),
+            ([[c, c], [-c, c], [c, -c], [-c, -c]], [0, 1, 2, 3], row.i_qpsk),
+            ([[r, 0.0], [0.0, r], [-r, 0.0], [0.0, -r]], [0, 1, 0, 1], row.i_v1_exact),
         )
         for kind, (points, groups, exact) in enumerate(cases):
             alphabet = awgn_info.PointSet.uniform(np.array(points))

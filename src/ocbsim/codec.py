@@ -38,15 +38,6 @@ LLR_CLIP = 30.0  # decoders saturate message magnitudes here
 MAX_GENERATOR_ENTRIES = 1 << 26
 
 
-def gf2_rank(mat: np.ndarray) -> int:
-    """Rank of a binary matrix over GF(2); entries are taken mod 2."""
-    return len(_gf2_basis(_mod2(mat))[0])
-
-
-def _mod2(mat) -> np.ndarray:
-    return (np.asarray(mat) % 2).astype(np.uint8, copy=False)
-
-
 def _gf2_basis(bits: np.ndarray) -> tuple[dict[int, int], int]:
     """Echelon basis of a 0/1 matrix's rows over GF(2), and its width.
 
@@ -72,12 +63,12 @@ def _gf2_basis(bits: np.ndarray) -> tuple[dict[int, int], int]:
 
 
 def _gf2_rref(mat: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form over GF(2); returns (rref, pivot columns).
+    """Reduced row echelon form over GF(2), entries taken mod 2; returns (rref, pivot columns).
 
     The echelon basis is reduced in descending pivot order, so each XOR
     with an already-reduced row clears exactly one pivot bit.
     """
-    basis, cols = _gf2_basis(_mod2(mat))
+    basis, cols = _gf2_basis((np.asarray(mat) % 2).astype(np.uint8, copy=False))
     pivots = sorted(basis)
     pivot_mask = sum(1 << c for c in pivots)
     for c in reversed(pivots):

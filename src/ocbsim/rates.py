@@ -1,5 +1,5 @@
 """Rate accounting for the layered scheme: claimed composite rates versus
-the exact chain-rule decomposition, plus superposition checks and sweeps.
+the exact chain-rule decomposition, swept over an SNR grid.
 
 The claimed accounting assigns the axis stream half of the QPSK mutual
 information and the sign stream a full BPSK rate at the same symbol SNR
@@ -96,12 +96,6 @@ def gamma_grid(spec: SweepSpec) -> np.ndarray:
     return np.linspace(spec.gamma_min, spec.gamma_max, spec.points)
 
 
-def rate_ocb_claimed(gamma: float, order: int = DEFAULT_QUAD_ORDER) -> float:
-    """Claimed composite rate: half the QPSK rate (axis stream) plus the
-    BPSK rate at the symbol SNR (sign stream)."""
-    return 0.5 * mi_qpsk(gamma, order) + mi_bpsk(gamma, order)
-
-
 def rate_ocb_exact(gamma: float, order: int = DEFAULT_QUAD_ORDER) -> tuple[float, float, float]:
     """Exact chain-rule stream rates (i_v1, i_v2, total) at symbol SNR gamma."""
     check_gamma(gamma)
@@ -110,25 +104,6 @@ def rate_ocb_exact(gamma: float, order: int = DEFAULT_QUAD_ORDER) -> tuple[float
         return 0.0, 0.0, 0.0
     i_v1, i_v2 = stream_mi_ocb(alpha, NoiseModel(1.0), order)
     return i_v1, i_v2, i_v1 + i_v2
-
-
-def check_superposition_inequality(
-    e1: float, e2: float, sigma2: float, modulation: str = "bpsk", order: int = DEFAULT_QUAD_ORDER
-) -> tuple[float, float, bool]:
-    """Compare I((E1+E2)/s2) against I(E1/s2) + I(E2/s2).
-
-    Returns (lhs, rhs, holds) with holds = strict lhs < rhs; concavity of
-    the finite-alphabet rate in SNR makes this strict for E1, E2 > 0 and an
-    equality when either energy vanishes.
-    """
-    if e1 < 0.0 or e2 < 0.0:
-        raise ValueError("energies must be nonnegative")
-    mi = {"bpsk": mi_bpsk, "qpsk": mi_qpsk}.get(modulation)
-    if mi is None:
-        raise ValueError(f"modulation must be 'bpsk' or 'qpsk', got {modulation!r}")
-    lhs = mi((e1 + e2) / sigma2, order)
-    rhs = mi(e1 / sigma2, order) + mi(e2 / sigma2, order)
-    return lhs, rhs, lhs < rhs
 
 
 def rate_row(gamma: float, order: int = DEFAULT_QUAD_ORDER) -> RateRow:
@@ -157,7 +132,7 @@ def sweep(spec: SweepSpec) -> list[RateRow]:
 
 
 def claimed_gap(gamma: float, order: int = DEFAULT_QUAD_ORDER) -> float:
-    """rate_ocb_claimed - mi_qpsk, in bits.
+    """The claimed composite rate less the QPSK rate: rate_row's r_j_claimed - i_qpsk, in bits.
 
     Evaluated through the decomposition mi_qpsk(g) = 2 mi_bpsk(g/2) as
     mi_bpsk(g) - mi_bpsk(g/2): same value to machine precision, but one

@@ -3,7 +3,15 @@
 import os
 from pathlib import Path
 
+from hypothesis import settings
+
 import ocbsim
+
+# HYPOTHESIS_PROFILE=ci draws the same examples on every run and prints the
+# blob that replays a failure; otherwise each run explores new examples
+settings.register_profile("ci", derandomize=True, database=None, print_blob=True)
+if os.environ.get("HYPOTHESIS_PROFILE") == "ci":
+    settings.load_profile("ci")
 
 
 def cli_env() -> dict:

@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 from numpy.polynomial.hermite import hermgauss
 from scipy.special import logsumexp
 
@@ -65,6 +65,25 @@ def test_pointset_stores_k_by_d(points, dims):
 def test_pointset_refuses_other_shapes(shape):
     with pytest.raises(ValueError):
         ai.PointSet(np.zeros(shape), np.full(4, 0.25))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("dims", [1, 2])
+@pytest.mark.parametrize("points,probs,match", [
+    ([np.nan, 1.0], [0.5, 0.5], "points must be finite"),  # gave nan +/- nan from Monte Carlo
+    ([np.inf, 0.0], [0.5, 0.5], "points must be finite"),  # warned of inf - inf in both backends
+    ([-np.inf, 0.0], [1.0, 0.0], "points must be finite"),
+    ([-1.0, 1.0], [np.nan, 1.0], r"must lie in \[0, 1\]"),  # passed the sum check: 0 bits
+    ([-1.0, 1.0], [np.nan, np.nan], r"must lie in \[0, 1\]"),  # an IndexError in mi_awgn
+    ([-1.0, 1.0], [np.inf, 0.0], r"must lie in \[0, 1\]"),
+    ([-1.0, 1.0], [1e308, 1e308], r"must lie in \[0, 1\]"),  # the sum overflowed
+    ([-1.0, 1.0], [0.25, 0.5], "must sum to 1, got 0.75$"),  # a plain number, not np.float64(0.75)
+], ids=["nan-point", "inf-point", "minus-inf-point", "nan-prior", "nan-priors", "inf-prior",
+        "huge-priors", "sum-named-plainly"])
+def test_pointset_refuses_non_finite_points_and_priors(points, probs, match, dims):
+    pts = np.array(points)[:, None] * np.ones(dims)
+    with pytest.raises(ValueError, match=match):
+        ai.PointSet(pts, np.array(probs))
 
 
 # ---------------------------------------------------------------------------
@@ -309,11 +328,26 @@ def test_stream_split_still_refuses_a_bad_amplitude(alpha):
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("sigma2,bits", [(1e306, 0.0), (1.7e308, 0.0), (1e-300, 1.0)])
+@pytest.mark.parametrize("sigma2,bits", [(1e306, 0.0), (1.7e308, 0.0), (1e-300, 1.0),
+                                         (1e-310, 1.0), (1e-320, 1.0), (5e-324, 1.0)])
 def test_quadrature_at_the_extremes_of_the_noise_variance(sigma2, bits):
-    # the kernel works in noise units, so no sqrt(2 sigma2) node is ever squared
+    # the kernel works in noise units, so no sqrt(2 sigma2) node is ever squared; below
+    # 1e-300 the offsets' o (2x - o) overflows to -inf, a factor of exactly 0
     r = ai.mi_awgn(ai.PointSet.uniform([1.0, -1.0]), ai.NoiseModel(sigma2))
     assert abs(r.bits - bits) <= 1e-15
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("points,sigma2,bits", [
+    ([-1.0, 1e300, 0.0], 5e-324, np.log2(3.0)),
+    ([1e308, -1e308], 1.0, 1.0),
+    ([1e200, -1e200], 1.0, 1.0),
+    ([(INV2, INV2), (INV2, -INV2), (-INV2, INV2), (-INV2, -INV2)], 1e-300, 1.9999999999999993),
+])
+def test_quadrature_takes_an_offset_past_float_range_as_a_term_of_0(points, sigma2, bits):
+    # the offsets in noise units overflow to inf, and o (2x - o) to -inf: each such
+    # factor is exactly 0, and no overflow warning escapes; QPSK at 1e-300 keeps its value
+    assert ai.mi_awgn(ai.PointSet.uniform(points), ai.NoiseModel(sigma2)).bits == bits
 
 
 @pytest.mark.parametrize("offset", [1e8, 1e12, 1e16])
@@ -386,6 +420,53 @@ def test_mi_is_between_zero_and_log_alphabet_size(points, sigma2):
     alphabet = ai.PointSet1D.uniform(points)
     r = ai.mi_awgn(alphabet, ai.NoiseModel(sigma2))
     assert 0.0 <= r.bits <= np.log2(alphabet.size) + 1e-9
+
+
+# points, noise variances and labels at and past the ends of float range
+EXTREME_POINTS = [0.0, -0.0, 1.0, -1.0, 1e-320, 1e150, 1e300, 1e308, -1e308, np.inf, -np.inf, np.nan]
+EXTREME_SIGMA2 = [5e-324, 1e-310, 1e-300, 1.0, 1e300, 1e306, 1e307, np.finfo(float).max]
+# each Monte Carlo sample's value rounds by a few ulps, the same way in every sample
+# where the density ratio is constant, so no standard error covers it; the largest
+# excursion past [0, log2 K] in 30,000 random alphabets was 2.6e-16 bits
+MC_ROUNDING = 1e-14
+
+
+@st.composite
+def extreme_alphabets(draw):
+    """(points, priors, group labels) for K = 1..4 points in D = 1 or 2 dimensions."""
+    k, dims = draw(st.integers(1, 4)), draw(st.integers(1, 2))
+    points = [[draw(st.sampled_from(EXTREME_POINTS)) for _ in range(dims)] for _ in range(k)]
+    weights = [draw(st.sampled_from([0.0, 1.0, 3.0, np.nan])) for _ in range(k)]
+    total = sum(weights)
+    probs = [w / total for w in weights] if total else [1.0 / k] * k
+    labels = draw(st.lists(st.integers(-2**63, 2**63 - 1), min_size=k, max_size=k))
+    return points, probs, labels
+
+
+@pytest.mark.filterwarnings("error")
+@seed(20190423)
+@settings(max_examples=1500, deadline=None)
+@given(extreme_alphabets(), st.sampled_from(EXTREME_SIGMA2))
+def test_public_entries_give_a_bounded_rate_or_refuse(case, sigma2):
+    points, probs, labels = case
+    try:
+        alphabet = ai.PointSet(np.array(points), np.array(probs))
+    except ValueError:
+        return
+    noise = ai.NoiseModel(sigma2)
+    top = np.log2(alphabet.size)
+    try:
+        r = ai.mi_awgn(alphabet, noise)
+        assert np.isfinite(r.bits) and 0.0 <= r.bits <= top and r.stderr == 0.0
+    except ValueError:
+        pass
+    try:
+        r = ai.mi_monte_carlo_grouped(alphabet, labels, noise, 10_000, 0)
+        assert np.isfinite(r.bits) and np.isfinite(r.stderr)
+        slack = 5.0 * r.stderr + MC_ROUNDING
+        assert -slack <= r.bits <= top + slack
+    except ValueError:
+        pass
 
 
 # ---------------------------------------------------------------------------
@@ -846,10 +927,9 @@ def test_monte_carlo_at_the_extremes_of_the_noise_variance(case, sigma2):
         with pytest.raises(ValueError, match=re.escape(f"at most {MC_SIGMA2_MAX:g}")):
             ai.mi_monte_carlo_grouped(alphabet, groups, noise, 200_000, 0)
         return
-    with np.errstate(over="ignore"):  # the quadrature's o (2x - o) overflows at 5e-324
-        want = ai.mi_awgn(alphabet, noise).bits
-        if case == "axis-grouping":  # I(V1;Y) = I(X;Y) - I(V2;Y|V1), a BPSK along either axis
-            want -= ai.mi_awgn(ai.PointSet.uniform([1.2, -1.2]), noise).bits
+    want = ai.mi_awgn(alphabet, noise).bits
+    if case == "axis-grouping":  # I(V1;Y) = I(X;Y) - I(V2;Y|V1), a BPSK along either axis
+        want -= ai.mi_awgn(ai.PointSet.uniform([1.2, -1.2]), noise).bits
     got = ai.mi_monte_carlo_grouped(alphabet, groups, noise, 200_000, 0)
     assert np.isfinite(got.bits) and np.isfinite(got.stderr)
     assert abs(got.bits - want) <= 3.0 * got.stderr + 1e-12  # 1e-12: the quadrature's rounding

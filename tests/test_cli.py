@@ -719,28 +719,28 @@ def test_verify_searches_the_claim_interval_once(tmp_path, monkeypatch):
 
 
 def test_verify_evaluates_each_subadditivity_rate_once(monkeypatch):
-    from ocbsim import awgn_info, cli, rates
+    from ocbsim import awgn_info, cli
 
+    rates_of = {"bpsk": awgn_info.mi_bpsk, "qpsk": awgn_info.mi_qpsk}
     calls = {"bpsk": [], "qpsk": []}
     for name, log in calls.items():
-        rate = getattr(awgn_info, f"mi_{name}")
         monkeypatch.setattr(awgn_info, f"mi_{name}",
-                            lambda g, order, rate=rate, log=log: log.append(g) or rate(g, order))
+                            lambda g, order, rate=rates_of[name], log=log: log.append(g) or rate(g, order))
+    opt = dict(cli._VERIFY_DEFAULTS)
     rep = cli._Report()
-    cli._verify_subadditivity(rep, dict(cli._VERIFY_DEFAULTS))
+    cli._verify_subadditivity(rep, opt)
     # 17 distinct energies: 0, the five grid energies and their pair sums
     assert [len(set(log)) for log in calls.values()] == [17, 17]
     assert [len(log) for log in calls.values()] == [17, 17]
-    # the same comparisons as one check_superposition_inequality per pair
+    # the same comparisons evaluated pair by pair: I(E1 + E2) against I(E1) + I(E2) at sigma2 = 1
     energies = [0.25, 0.5, 1.0, 2.0, 4.0]
+    order = opt["quad_order"]
     strict, eq = [], []
-    for mod in ("bpsk", "qpsk"):
+    for mi in rates_of.values():
         for e1 in energies:
             for e2 in energies:
-                lhs, rhs, _ = rates.check_superposition_inequality(e1, e2, 1.0, mod)
-                strict.append(lhs - rhs)
-            lhs, rhs, _ = rates.check_superposition_inequality(e1, 0.0, 1.0, mod)
-            eq.append(abs(lhs - rhs))
+                strict.append(mi(e1 + e2, order) - (mi(e1, order) + mi(e2, order)))
+            eq.append(abs(mi(e1 + 0.0, order) - (mi(e1, order) + mi(0.0, order))))
     ref = cli._Report()
     ref.check("subadditivity_strict", max(strict), -1e-12, "5x5 energy grid, bpsk and qpsk")
     ref.check("subadditivity_equality_at_zero", max(eq), 1e-9, "E2 = 0 edge")

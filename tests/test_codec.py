@@ -33,12 +33,17 @@ def noiseless_llr(codeword, scale=4.0):
 # GF(2) linear algebra
 
 
+def gf2_rank(mat):
+    """Rank over GF(2): the number of pivots of the reduced row echelon form."""
+    return len(codec._gf2_rref(mat)[1])
+
+
 def test_gf2_rank_known_cases():
-    assert codec.gf2_rank(np.eye(5, dtype=np.uint8)) == 5
-    assert codec.gf2_rank(np.zeros((3, 4), dtype=np.uint8)) == 0
+    assert gf2_rank(np.eye(5, dtype=np.uint8)) == 5
+    assert gf2_rank(np.zeros((3, 4), dtype=np.uint8)) == 0
     # rows 0 and 1 sum to row 2 over GF(2)
     m = np.array([[1, 1, 0], [0, 1, 1], [1, 0, 1]], dtype=np.uint8)
-    assert codec.gf2_rank(m) == 2
+    assert gf2_rank(m) == 2
 
 
 def column_rref_reference(mat):
@@ -76,7 +81,6 @@ def _assert_matches_column_reference(mat):
     assert rref.tobytes() == ref.tobytes()
     assert pivots == ref_pivots
     assert all(type(p) is int for p in pivots)
-    assert codec.gf2_rank(mat) == len(ref_pivots)
 
 
 # widths 63, 64, 65, 1023 and 1025 straddle the 8- and 64-bit packing boundaries
@@ -92,7 +96,7 @@ def test_gf2_rref_matches_the_column_by_column_reference(shape, density):
 def test_gf2_rref_drops_a_dependent_last_row(shape):
     m = _random_bits(shape, 0.3, 1)
     m[-1] = np.bitwise_xor.reduce(m[:-2:2], axis=0)
-    assert codec.gf2_rank(m) < shape[0]
+    assert gf2_rank(m) < shape[0]
     _assert_matches_column_reference(m)
 
 
@@ -337,7 +341,7 @@ def test_ldpc_structure(n):
     h, g = code.parity, code.generator
     # float32 products go through BLAS and stay exact: each entry is a sum of at most 6 ones
     assert not ((h.astype(np.float32) @ g.astype(np.float32)) % 2).any()
-    assert code.K == code.M - codec.gf2_rank(h)
+    assert code.K == code.M - gf2_rank(h)
     # (3,6)-regular up to double-edge cancellation: row weight <= 6, col <= 3
     assert h.sum(axis=1).max() <= 6
     assert h.sum(axis=0).max() <= 3

@@ -1,5 +1,5 @@
 """Rate accounting: claimed composite rates, exact chain-rule columns,
-superposition inequality, sweep invariants, and the claim interval search."""
+sweep invariants, and the claim interval search."""
 
 import numpy as np
 import pytest
@@ -18,13 +18,13 @@ W1_QUAD = 0.09501607258470601
 
 
 def test_claimed_rates_vanish_at_zero_snr():
-    assert rates.rate_ocb_claimed(0.0) == 0.0
+    assert rates.rate_row(0.0).r_j_claimed == 0.0
     assert 0.5 * mi_qpsk(0.0) == 0.0
     assert mi_bpsk(0.0) == 0.0
 
 
 def test_claimed_rate_saturates_at_two_bits():
-    assert rates.rate_ocb_claimed(1e4) == pytest.approx(2.0, abs=1e-4)
+    assert rates.rate_row(1e4).r_j_claimed == pytest.approx(2.0, abs=1e-4)
 
 
 def test_claimed_axis_rate_is_bpsk_at_half_snr():
@@ -51,11 +51,7 @@ def test_rate_row_at_the_smallest_subnormal_snr_is_the_zero_limit():
 
 
 @pytest.mark.parametrize("gamma", [1e308, np.inf, np.nan])
-@pytest.mark.parametrize("entry", [
-    rates.rate_row,
-    rates.rate_ocb_exact,
-    lambda g: rates.check_superposition_inequality(g, 1.0, 1.0),
-], ids=["rate_row", "rate_ocb_exact", "superposition"])
+@pytest.mark.parametrize("entry", [rates.rate_row, rates.rate_ocb_exact], ids=["rate_row", "rate_ocb_exact"])
 def test_rate_entry_points_refuse_an_snr_past_the_ceiling(entry, gamma):
     with pytest.raises(ValueError, match="1e\\+300"):
         entry(gamma)
@@ -81,40 +77,6 @@ def test_exact_sign_stream_rate_is_bpsk():
 def test_axis_stream_rate_at_unit_snr():
     i_v1, _, _ = rates.rate_ocb_exact(1.0)
     assert i_v1 == pytest.approx(W1_QUAD, abs=1e-9)
-
-
-# ---------------------------------------------------------------------------
-# superposition inequality
-
-
-ENERGIES = (0.5, 1.0, 2.0, 4.0)
-
-
-@pytest.mark.parametrize("modulation", ["bpsk", "qpsk"])
-def test_superposition_is_strict_for_positive_energies(modulation):
-    for e1 in ENERGIES:
-        for e2 in ENERGIES:
-            lhs, rhs, holds = rates.check_superposition_inequality(e1, e2, 1.0, modulation)
-            assert holds and lhs < rhs
-
-
-def test_superposition_collapses_when_one_energy_vanishes():
-    lhs, rhs, holds = rates.check_superposition_inequality(2.0, 0.0, 1.0, "bpsk")
-    assert abs(lhs - rhs) < 1e-9
-    assert not holds
-
-
-def test_superposition_is_symmetric_in_the_energies():
-    a = rates.check_superposition_inequality(0.7, 2.3, 0.8, "qpsk")
-    b = rates.check_superposition_inequality(2.3, 0.7, 0.8, "qpsk")
-    assert a[0] == b[0] and a[1] == b[1]
-
-
-def test_superposition_input_validation():
-    with pytest.raises(ValueError):
-        rates.check_superposition_inequality(-1.0, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        rates.check_superposition_inequality(1.0, 1.0, 1.0, "8psk")
 
 
 # ---------------------------------------------------------------------------
@@ -170,8 +132,9 @@ def test_sweep_row_invariants():
     rows = rates.sweep(SweepSpec())
     assert len(rows) == 60
     for row in rows:
-        # the claimed total is the literal sum of its two parts
+        # the claimed total is the literal sum of its two parts: half the QPSK rate, the BPSK rate
         assert row.r_j_claimed == row.r_c1_claimed + row.r_c2
+        assert (row.r_c1_claimed, row.r_c2) == (0.5 * row.i_qpsk, row.i_bpsk)
         # exact accounting reproduces the four-point joint rate
         assert abs(row.sum_exact - row.i_qpsk) < 1e-6
         # chain rule sandwich: 0 <= i_v1 <= min(1, i_qpsk), i_v1 >= i_qpsk - 1;
@@ -201,7 +164,7 @@ def test_sweep_curves_are_monotone_and_ordered():
 
 def test_claimed_gap_agrees_with_the_direct_difference():
     for g in np.geomspace(0.05, 50.0, 12):
-        direct = rates.rate_ocb_claimed(g) - mi_qpsk(g)
+        direct = 0.5 * mi_qpsk(g) + mi_bpsk(g) - mi_qpsk(g)  # the claimed composite rate less QPSK
         assert rates.claimed_gap(g) == pytest.approx(direct, abs=1e-9)
 
 
