@@ -14,7 +14,7 @@ one kernel for D = 1 and D = 2. An alphabet is checked once, at the public
 boundary: ``mi_awgn`` takes a PointSet and a NoiseModel, leaves out points
 of zero prior, gives 0 bits for one distinct point, and hands plain arrays
 to ``_quadrature``, which checks nothing. The named curves ``mi_bpsk``,
-``mi_qpsk`` and ``stream_mi_ocb`` check their SNR or amplitude, then call
+``mi_qpsk`` and ``stream_mi_ocb`` take the SNR alone and check it, then call
 ``_quadrature`` directly on their fixed alphabets with the same arithmetic,
 so the rate audit's thousand-odd calls build no PointSet. The kernel works
 in noise units, so any noise variance is safe; from the point offsets
@@ -337,7 +337,7 @@ def mi_monte_carlo(alphabet: PointSet, noise: NoiseModel, samples: int, seed: in
 
 
 def mi_monte_carlo_grouped(alphabet: PointSet, groups, noise: NoiseModel, samples: int, seed: int) -> MiResult:
-    """Monte Carlo estimate of I(G;Y) where G labels groups of points.
+    """Monte Carlo estimate of I(G;Y), G given by ``groups``: a 1-D integer array, a label per point.
 
     Direct estimator E[log2 p(y|g) - log2 p(y)] for a D = 1 or D = 2
     alphabet; used to cross-check the chain-rule split of a layered labeling
@@ -387,9 +387,9 @@ def mi_monte_carlo_grouped(alphabet: PointSet, groups, noise: NoiseModel, sample
     if noise.sigma2 > sigma2_max:
         raise ValueError(f"the Monte Carlo estimator needs a noise variance of at most "
                          f"{sigma2_max:g}, got {noise.sigma2:g}")
-    groups = np.asarray(groups, dtype=int).reshape(-1)
-    if groups.shape[0] != alphabet.size:
-        raise ValueError("groups must label every alphabet point")
+    groups = np.asarray(groups)
+    if groups.shape != (alphabet.size,) or not np.issubdtype(groups.dtype, np.integer):
+        raise ValueError(f"groups must be a 1-D array of {alphabet.size} integer labels, one per point")
     keep = alphabet.probs > 0.0
     points, probs = alphabet.points[keep], alphabet.probs[keep]
     _, group_of = np.unique(groups[keep], return_inverse=True)
@@ -458,7 +458,7 @@ def mi_monte_carlo_grouped(alphabet: PointSet, groups, noise: NoiseModel, sample
 
 def gaussian_capacity(snr: float, dims: str = "real") -> float:
     """Shannon capacity of the Gaussian-input AWGN channel at linear SNR."""
-    if snr < 0.0:
+    if not snr >= 0.0:  # NaN too
         raise ValueError(f"snr must be nonnegative, got {snr}")
     if dims == "real":
         return 0.5 * np.log2(1.0 + snr)
@@ -467,7 +467,7 @@ def gaussian_capacity(snr: float, dims: str = "real") -> float:
     raise ValueError(f"dims must be 'real' or 'complex', got {dims!r}")
 
 
-def check_gamma(gamma: float) -> None:
+def _check_gamma(gamma: float) -> None:
     """Refuse a symbol SNR outside [0, GAMMA_MAX]: negative, NaN, inf or past the ceiling."""
     if not 0.0 <= gamma <= GAMMA_MAX:
         raise ValueError(f"gamma must be in [0, {GAMMA_MAX:g}], got {gamma}")
@@ -489,13 +489,13 @@ def _bpsk_bits(gamma: float, order: int) -> float:
 
 def mi_bpsk(gamma: float, order: int = DEFAULT_QUAD_ORDER) -> float:
     """BPSK mutual information as a function of gamma = E_s / sigma2 alone."""
-    check_gamma(gamma)
+    _check_gamma(gamma)
     return _bpsk_bits(gamma, order)
 
 
 def mi_qpsk(gamma: float, order: int = DEFAULT_QUAD_ORDER) -> float:
     """QPSK mutual information as a function of gamma = E_s / sigma2 alone."""
-    check_gamma(gamma)
+    _check_gamma(gamma)
     # axis-aligned four points with symbol energy gamma (sigma2 = 1)
     c = np.sqrt(gamma / 2.0)
     if c == 0.0:  # one distinct point
@@ -503,24 +503,24 @@ def mi_qpsk(gamma: float, order: int = DEFAULT_QUAD_ORDER) -> float:
     return _quadrature(np.array([(c, c), (c, -c), (-c, c), (-c, -c)]), _QUARTERS, 1.0, order)
 
 
-def stream_mi_ocb(alpha: float, noise: NoiseModel, order: int = DEFAULT_QUAD_ORDER) -> tuple[float, float]:
-    """Chain-rule split of the layered labeling: (I(V1;Y), I(V2;Y|V1)).
+def stream_mi_ocb(gamma: float, order: int = DEFAULT_QUAD_ORDER) -> tuple[float, float]:
+    """Chain-rule split of the layered labeling at gamma = E_s / sigma2: (I(V1;Y), I(V2;Y|V1)).
 
-    V1 selects the axis (the 2-vs-2 grouping of the rotated four-point set),
-    V2 the sign on that axis. Given V1, the constellation decouples into a
-    one-dimensional BPSK of energy 2*alpha^2, so
-        I(V2;Y|V1) = mi_bpsk(2 alpha^2 / sigma2)
-    exactly, and I(V1;Y) is the remainder of the joint four-point rate,
-    passed through ``_clip_bits`` into [0, 1], the range of a binary V1.
-    Both 2 alpha^2 and gamma must be at most GAMMA_MAX, checked on alpha.
+    V1 selects the axis (the 2-vs-2 grouping of the rotated four-point set of
+    energy gamma at sigma2 = 1), V2 the sign on that axis. Given V1, the
+    constellation decouples into a one-dimensional BPSK of energy 2 alpha^2,
+    alpha = sqrt(gamma / 2), so I(V2;Y|V1) = mi_bpsk(2 alpha^2) exactly, and
+    I(V1;Y) is the remainder of the joint four-point rate, passed through
+    ``_clip_bits`` into [0, 1], the range of a binary V1.
     """
-    if not 0.0 < alpha <= np.sqrt(0.5 * GAMMA_MAX * min(1.0, noise.sigma2)):
-        raise ValueError(f"alpha must be positive with 2 alpha^2 and 2 alpha^2 / sigma2 "
-                         f"at most {GAMMA_MAX:g}, got {alpha}")
-    gamma = 2.0 * alpha * alpha / noise.sigma2
+    _check_gamma(gamma)
+    alpha = np.sqrt(gamma / 2.0)
+    if alpha == 0.0:  # gamma = 0, or the smallest subnormal, whose half rounds to 0
+        return 0.0, 0.0
     amp = np.sqrt(2.0) * alpha  # positive, so the four points are distinct
     points = np.array([(amp, 0.0), (0.0, amp), (-amp, 0.0), (0.0, -amp)])
-    i_joint = _quadrature(points, _QUARTERS, noise.sigma, order)
-    # not mi_bpsk: at alpha = sqrt(GAMMA_MAX / 2), gamma rounds one unit past the ceiling
-    i_v2_given_v1 = _bpsk_bits(gamma, order)
+    i_joint = _quadrature(points, _QUARTERS, 1.0, order)
+    # at 2 alpha^2, not gamma: the two differ by a rounding at 28 of the default
+    # grid's 60 points, and at GAMMA_MAX 2 alpha^2 is one unit past the ceiling
+    i_v2_given_v1 = _bpsk_bits(2.0 * alpha * alpha, order)
     return _clip_bits(i_joint - i_v2_given_v1, 2), i_v2_given_v1

@@ -243,7 +243,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     rows = []
     for cfg in cfgs:
         stats = linksim.run_trials(cfg, threads=args.threads)
-        cond = stats.cond_ber2_given_v1_err
         rows.append({
             "gamma": cfg.gamma,
             "alpha": opt["alpha"],
@@ -262,7 +261,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             "fer1": stats.fer1,
             "fer2": stats.fer2,
             "cond_events": stats.cond_events,
-            "cond_ber2_given_v1_err": float("nan") if cond is None else cond,
+            "cond_ber2_given_v1_err": stats.cond_ber2_given_v1_err,
         })
 
     out_dir = Path(args.out)

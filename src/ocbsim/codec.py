@@ -1,4 +1,4 @@
-"""Binary linear block codes: GF(2) encoding and pluggable decoding.
+"""Binary linear block codes: GF(2) encoding, and the decoder each code's structure picks.
 
 A code is defined by its generator matrix G of shape (M, K): codeword
 v = G c mod 2 for a source word c of K bits. Log-likelihood ratios follow

@@ -156,14 +156,12 @@ class SimStats:
         return self.frame_errors2 / self.trials
 
     @property
-    def cond_ber2_given_v1_err(self):
+    def cond_ber2_given_v1_err(self) -> float:
         """Stage-2 symbol error rate among symbols whose axis word was wrong.
 
-        None when no conditioning event occurred (undefined, not zero).
+        NaN when no conditioning event occurred (undefined, not zero).
         """
-        if self.cond_events == 0:
-            return None
-        return self.cond_errors / self.cond_events
+        return self.cond_errors / self.cond_events if self.cond_events else float("nan")
 
     def ci95(self, which: str) -> float:
         """95% Wilson score half-width for one of ber1/ber2/fer1/fer2/cond.

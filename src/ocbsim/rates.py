@@ -7,8 +7,9 @@ information and the sign stream a full BPSK rate at the same symbol SNR
 
     r_j_claimed(gamma) = mi_qpsk(gamma) / 2 + mi_bpsk(gamma)
 
-The exact accounting decomposes the joint four-point rate by the chain rule
-I(V1,V2;Y) = I(V1;Y) + I(V2;Y|V1); its total always equals mi_qpsk(gamma).
+The exact accounting, awgn_info.stream_mi_ocb, decomposes the joint
+four-point rate by the chain rule I(V1,V2;Y) = I(V1;Y) + I(V2;Y|V1) (the
+i_v1_exact and i_v2_exact columns); its total always equals mi_qpsk(gamma).
 The difference between the two accountings is reported, never asserted away.
 
 The claimed gap over QPSK is unimodal in gamma; find_claim_interval leans
@@ -25,8 +26,6 @@ import numpy as np
 from .awgn_info import (
     DEFAULT_QUAD_ORDER,
     GAMMA_MAX,
-    NoiseModel,
-    check_gamma,
     gaussian_capacity,
     mi_bpsk,
     mi_qpsk,
@@ -96,22 +95,12 @@ def gamma_grid(spec: SweepSpec) -> np.ndarray:
     return np.linspace(spec.gamma_min, spec.gamma_max, spec.points)
 
 
-def rate_ocb_exact(gamma: float, order: int = DEFAULT_QUAD_ORDER) -> tuple[float, float, float]:
-    """Exact chain-rule stream rates (i_v1, i_v2, total) at symbol SNR gamma."""
-    check_gamma(gamma)
-    alpha = np.sqrt(gamma / 2.0)  # sigma2 = 1, so 2 alpha^2 / sigma2 = gamma
-    if alpha == 0.0:  # gamma = 0, or the smallest subnormal, whose half rounds to 0
-        return 0.0, 0.0, 0.0
-    i_v1, i_v2 = stream_mi_ocb(alpha, NoiseModel(1.0), order)
-    return i_v1, i_v2, i_v1 + i_v2
-
-
 def rate_row(gamma: float, order: int = DEFAULT_QUAD_ORDER) -> RateRow:
     i_b = mi_bpsk(gamma, order)
     i_q = mi_qpsk(gamma, order)
     c_g = gaussian_capacity(gamma, "complex")
     r_c1 = 0.5 * i_q
-    i_v1, i_v2, total = rate_ocb_exact(gamma, order)
+    i_v1, i_v2 = stream_mi_ocb(gamma, order)
     return RateRow(
         gamma=float(gamma),
         i_bpsk=i_b,
@@ -122,7 +111,7 @@ def rate_row(gamma: float, order: int = DEFAULT_QUAD_ORDER) -> RateRow:
         r_j_claimed=r_c1 + i_b,
         i_v1_exact=i_v1,
         i_v2_exact=i_v2,
-        sum_exact=total,
+        sum_exact=i_v1 + i_v2,
     )
 
 

@@ -2,6 +2,7 @@
 oracles, reproducibility across worker processes, and tally algebra."""
 
 import concurrent.futures
+import math
 from collections import Counter
 from dataclasses import asdict
 
@@ -518,9 +519,9 @@ def test_stats_rates_are_count_ratios():
     assert s.cond_ber2_given_v1_err == 0.4
 
 
-def test_conditional_rate_is_none_without_events():
+def test_conditional_rate_is_nan_without_events():
     s = SimStats(trials=10, k1=4, k2=4, block_len=7)
-    assert s.cond_ber2_given_v1_err is None
+    assert math.isnan(s.cond_ber2_given_v1_err)
     assert np.isnan(s.ci95("cond"))
 
 

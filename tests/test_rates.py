@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ocbsim import rates
-from ocbsim.awgn_info import DEFAULT_QUAD_ORDER, MAX_QUAD_ORDER, MIN_QUAD_ORDER, mi_bpsk, mi_qpsk
+from ocbsim.awgn_info import DEFAULT_QUAD_ORDER, MAX_QUAD_ORDER, MIN_QUAD_ORDER, mi_bpsk, mi_qpsk, stream_mi_ocb
 from ocbsim.rates import CSV_COLUMNS, SweepSpec
 
 # quadrature value of the exact axis-stream rate at gamma = 1, cross-checked
@@ -37,9 +37,9 @@ def test_claimed_axis_rate_is_bpsk_at_half_snr():
 
 
 def test_exact_accounting_at_zero_and_negative_snr():
-    assert rates.rate_ocb_exact(0.0) == (0.0, 0.0, 0.0)
+    assert stream_mi_ocb(0.0) == (0.0, 0.0)
     with pytest.raises(ValueError):
-        rates.rate_ocb_exact(-1.0)
+        stream_mi_ocb(-1.0)
 
 
 def test_rate_row_at_the_smallest_subnormal_snr_is_the_zero_limit():
@@ -47,35 +47,35 @@ def test_rate_row_at_the_smallest_subnormal_snr_is_the_zero_limit():
     row = rates.rate_row(5e-324)
     assert row.gamma == 5e-324
     assert row.as_csv_values()[1:] == (0.0,) * (len(CSV_COLUMNS) - 1)
-    assert rates.rate_ocb_exact(1e-323) == (0.0, 0.0, 0.0)  # the next float: alpha > 0, rates round to 0
+    assert stream_mi_ocb(1e-323) == (0.0, 0.0)  # the next float: alpha > 0, rates round to 0
 
 
 @pytest.mark.parametrize("gamma", [1e308, np.inf, np.nan])
-@pytest.mark.parametrize("entry", [rates.rate_row, rates.rate_ocb_exact], ids=["rate_row", "rate_ocb_exact"])
+@pytest.mark.parametrize("entry", [rates.rate_row], ids=["rate_row"])
 def test_rate_entry_points_refuse_an_snr_past_the_ceiling(entry, gamma):
     with pytest.raises(ValueError, match="1e\\+300"):
         entry(gamma)
 
 
 def test_exact_accounting_at_the_snr_ceiling():
-    i_v1, i_v2, total = rates.rate_ocb_exact(rates.GAMMA_MAX)
-    assert abs(i_v1 - 1.0) < 1e-12 and abs(i_v2 - 1.0) < 1e-12 and abs(total - 2.0) < 1e-12
+    i_v1, i_v2 = stream_mi_ocb(rates.GAMMA_MAX)
+    assert abs(i_v1 - 1.0) < 1e-12 and abs(i_v2 - 1.0) < 1e-12 and abs(i_v1 + i_v2 - 2.0) < 1e-12
 
 
 @pytest.mark.parametrize("gamma", np.geomspace(0.02, 80.0, 15).tolist())
 def test_exact_total_is_the_qpsk_rate(gamma):
-    _, _, total = rates.rate_ocb_exact(gamma)
-    assert abs(total - mi_qpsk(gamma)) < 1e-6
+    i_v1, i_v2 = stream_mi_ocb(gamma)
+    assert abs(i_v1 + i_v2 - mi_qpsk(gamma)) < 1e-6
 
 
 def test_exact_sign_stream_rate_is_bpsk():
     for gamma in (0.3, 1.0, 5.0):
-        _, i_v2, _ = rates.rate_ocb_exact(gamma)
+        _, i_v2 = stream_mi_ocb(gamma)
         assert i_v2 == pytest.approx(mi_bpsk(gamma), abs=1e-12)
 
 
 def test_axis_stream_rate_at_unit_snr():
-    i_v1, _, _ = rates.rate_ocb_exact(1.0)
+    i_v1, _ = stream_mi_ocb(1.0)
     assert i_v1 == pytest.approx(W1_QUAD, abs=1e-9)
 
 
