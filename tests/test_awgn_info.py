@@ -271,6 +271,13 @@ def test_named_curves_refuse_an_snr_past_the_ceiling(curve, gamma):
         curve(gamma)
 
 
+@pytest.mark.parametrize("alpha,sigma2", [(1e154, 1e10), (1.0, 1e-301)])
+def test_stream_split_refuses_an_energy_or_snr_past_the_ceiling(alpha, sigma2):
+    # 2 alpha^2 = 2e308 overflows to an SNR of inf; 2 alpha^2 / sigma2 = 2e301
+    with pytest.raises(ValueError, match="\\[0, 1e\\+300\\]"):
+        ai.stream_mi_ocb(2.0 * alpha * alpha / sigma2)
+
+
 def test_named_curves_at_the_snr_ceiling():
     assert abs(ai.mi_bpsk(ai.GAMMA_MAX) - 1.0) < 1e-12
     assert abs(ai.mi_qpsk(ai.GAMMA_MAX) - 2.0) < 1e-12
@@ -296,16 +303,24 @@ def test_named_curves_are_the_checked_entry_bit_for_bit(gamma, order):
 
 
 @pytest.mark.parametrize("order", [16, 64, 128, 370])
+@pytest.mark.parametrize("sigma2", [1.0, 0.35])
 @pytest.mark.parametrize("gamma", SPLIT_GAMMAS)
-def test_stream_split_is_the_checked_entry_bit_for_bit(gamma, order):
-    unit = ai.NoiseModel(1.0)
-    alpha = np.sqrt(gamma / 2.0)
+def test_stream_split_is_the_checked_entry_bit_for_bit(gamma, sigma2, order):
+    # the checked entry at amplitude alpha and noise sigma2 of SNR gamma = 2 alpha^2 / sigma2
+    noise = ai.NoiseModel(sigma2)
+    alpha = np.sqrt(gamma * sigma2 / 2.0)
     amp = np.sqrt(2.0) * alpha
-    joint = ai.mi_awgn(ai.PointSet.uniform([(amp, 0.0), (0.0, amp), (-amp, 0.0), (0.0, -amp)]), unit, order)
-    b = np.sqrt(2.0 * alpha * alpha)
-    sign = ai.mi_awgn(ai.PointSet.uniform([-b, b]), unit, order).bits
+    joint = ai.mi_awgn(ai.PointSet.uniform([(amp, 0.0), (0.0, amp), (-amp, 0.0), (0.0, -amp)]), noise, order)
+    b = np.sqrt(2.0 * alpha * alpha / sigma2)
+    sign = ai.mi_awgn(ai.PointSet.uniform([-b, b]), ai.NoiseModel(1.0), order).bits
     i_v1, i_v2 = ai.stream_mi_ocb(gamma, order)
-    assert (i_v1, i_v2) == (ai._clip_bits(joint.bits - sign, 2), sign)
+    if sigma2 == 1.0:
+        assert (i_v1, i_v2) == (ai._clip_bits(joint.bits - sign, 2), sign)
+    else:
+        # a function of gamma alone: off sigma2 = 1 the kernel's division by sigma
+        # rounds, so the split agrees to a few rounding units, not bit for bit
+        assert i_v1 == pytest.approx(ai._clip_bits(joint.bits - sign, 2), rel=0.0, abs=4 * np.finfo(float).eps)
+        assert i_v2 == pytest.approx(sign, rel=0.0, abs=4 * np.finfo(float).eps)
     assert 0.0 <= i_v1 <= 1.0
 
 
@@ -363,8 +378,9 @@ def test_bpsk_curve_is_scale_invariant(sigma2):
 # layered stream split
 
 
-@pytest.mark.parametrize("gamma", [1.0, 4.0, 0.16, 8.0])
-def test_stream_split_obeys_the_chain_rule(gamma):
+@pytest.mark.parametrize("alpha,sigma2", [(INV2, 1.0), (1.0, 0.5), (0.4, 2.0), (2.0, 1.0)])
+def test_stream_split_obeys_the_chain_rule(alpha, sigma2):
+    gamma = 2.0 * alpha**2 / sigma2
     i_v1, i_v2 = ai.stream_mi_ocb(gamma)
     assert abs(i_v1 + i_v2 - ai.mi_qpsk(gamma)) < 1e-6
     assert i_v1 >= 0.0 and i_v2 >= 0.0

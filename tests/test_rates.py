@@ -51,7 +51,7 @@ def test_rate_row_at_the_smallest_subnormal_snr_is_the_zero_limit():
 
 
 @pytest.mark.parametrize("gamma", [1e308, np.inf, np.nan])
-@pytest.mark.parametrize("entry", [rates.rate_row], ids=["rate_row"])
+@pytest.mark.parametrize("entry", [rates.rate_row, rates.claimed_gap], ids=["rate_row", "claimed_gap"])
 def test_rate_entry_points_refuse_an_snr_past_the_ceiling(entry, gamma):
     with pytest.raises(ValueError, match="1e\\+300"):
         entry(gamma)
