@@ -357,22 +357,19 @@ def mi_monte_carlo_grouped(alphabet: PointSet, groups, noise: NoiseModel, sample
     so a large common offset loses no noise, shifted by its column maximum and
     exponentiated in place, is E; for sample i in group g,
         ln(sum_{l in g} E[l, i] / sum_l E[l, i]) - ln pi_g,
-    since the shift and the Gaussian normalisation cancel in the ratio. Every
+    since the shift and the Gaussian normalisation cancel in the ratio; the
+    group sum is the column sum of E masked to the sample's group. Every
     operation is per sample, so the values do not depend on the block size.
-    The group sum adds the group's rows in ascending point order, which is
-    the masked column sum over all K rows less its exact zeros; a group of
-    one point copies that point's row of E. Each sample's sum is then one
-    flat ``np.take`` at row * width + lane. Chunks merge by Chan et al.'s
-    update, and no reduction calls BLAS, whose threaded dot product would
-    wake its worker pool. The working set is O(m), and no chunk-sized array
-    is allocated beyond the two rows: each block's values overwrite its
-    uniforms once they are read, and the deviations from the mean take the
-    second row, after a 2D set's first-dimension noise. The two (K, block)
-    tables and the noise buffer are allocated once per estimate. One
-    allocation a chunk is also one the allocator can keep for the next
-    estimate, which then touches no fresh pages. The mean is not clamped, so
-    near 0 bits it may read below 0. A degenerate alphabet yields exactly
-    0 +/- 0.
+    Chunks merge by Chan et al.'s update, and no reduction calls BLAS, whose
+    threaded dot product would wake its worker pool. The working set is
+    O(m), and no chunk-sized array is allocated beyond the two rows: each
+    block's values overwrite its uniforms once they are read, and the
+    deviations from the mean take the second row, after a 2D set's
+    first-dimension noise. The two (K, block) tables and the noise buffer
+    are allocated once per estimate. One allocation a chunk is also one the
+    allocator can keep for the next estimate, which then touches no fresh
+    pages. The mean is not clamped, so near 0 bits it may read below 0. A
+    degenerate alphabet yields exactly 0 +/- 0.
 
     A noise variance above float max / 150 is refused, since a sample's own
     term (sigma z)^2 could overflow there. Any other exponent past float
@@ -396,14 +393,12 @@ def mi_monte_carlo_grouped(alphabet: PointSet, groups, noise: NoiseModel, sample
     ln_p, ln_pg = np.log(probs)[:, None], np.log(np.bincount(group_of, probs))
     cdf = np.cumsum(probs)
     cdf /= cdf[-1]
-    members = [np.flatnonzero(group_of == g) for g in range(ln_pg.size)]
     rng = np.random.default_rng(seed)
     sigma = noise.sigma
     dims = points.shape[1]
     width = min(samples, _MC_BLOCK)
-    # the exponent table, and the terms of a further dimension, then the group sums
+    # the exponent table, and the terms of a further dimension, then the masked densities
     expo_table, term_table = np.empty((2, points.shape[0], width))
-    sums = term_table.reshape(-1)  # the flat table a sample's group sum is gathered from
     last = np.empty(width)  # the last dimension's noise, one block at a time
 
     def chunks():
@@ -435,15 +430,9 @@ def mi_monte_carlo_grouped(alphabet: PointSet, groups, noise: NoiseModel, sample
                 np.exp(expo, out=expo)
                 total = expo.sum(axis=0)
                 g = np.take(group_of, k)
-                group_sum = term_table[:, :n]
-                for row_g, rows in enumerate(members):
-                    np.copyto(group_sum[row_g], expo[rows[0]])
-                    for row in rows[1:]:
-                        group_sum[row_g] += expo[row]
-                # the flat index overwrites the spent point indices, the values the uniforms
-                at = np.multiply(g, width, out=k)
-                at += np.arange(n)
-                term = np.take(sums, at, out=values[blk])
+                # the masked column sum of each sample's group; the values overwrite the uniforms
+                term = np.sum(np.multiply(expo, group_of[:, None] == g, out=term_table[:, :n]),
+                              axis=0, out=values[blk])
                 term /= total
                 np.log(term, out=term)
                 term -= np.take(ln_pg, g)

@@ -14,9 +14,12 @@ parsed as the flag of the same name, and command-line flags override
 config-file values.
 ``--threads`` is the link's worker-process count (``simulate`` and
 ``verify``'s genie link); ``curves`` accepts it and ignores it.
-Outputs are byte-identical across reruns
-and across ``--threads`` settings. A plain-text manifest sidecar records the
-command, parameters, seed, version, wall-clock and output digests.
+Outputs are UTF-8 text, byte-identical across reruns and across
+``--threads`` settings. Each command computes all of its text first, then
+writes its data files and a plain-text manifest (``curves.manifest.txt``,
+``sim.manifest.txt``, ``verify.manifest.txt``) recording the command,
+parameters, seed, version, wall-clock and the SHA-256 of each file's bytes as
+written. A refused run (exit 2) writes nothing.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or config error,
 3 I/O error.
@@ -36,19 +39,12 @@ import numpy as np
 from . import __version__, awgn_info, codec, linksim, ocb, rates
 from .svgfig import LineChart
 
-_FLOAT_FMT = "{:.12g}"
 # the link's per-axis amplitude for simulate's default and verify's checks: unit symbol energy
 _ALPHA = 1.0 / np.sqrt(2.0)
 
 
 def _fmt(x) -> str:
-    if isinstance(x, float):
-        return _FLOAT_FMT.format(x)
-    return str(x)
-
-
-def _csv_line(values) -> str:
-    return ",".join(_fmt(v) for v in values)
+    return f"{x:.12g}" if isinstance(x, float) else str(x)
 
 
 class _IOFailure(Exception):
@@ -138,27 +134,34 @@ def _float_list(raw: str) -> tuple:
 # output plumbing
 
 
-def _write_text(path: Path, text: str) -> None:
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w", newline="\n") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise _IOFailure(f"cannot write {path}: {exc}") from exc
+def _csv_text(header, rows) -> str:
+    return "".join(",".join(map(_fmt, row)) + "\n" for row in (header, *rows))
 
 
-def _write_manifest(out_dir: Path, command: str, params: dict, outputs: list) -> None:
+def _write_outputs(out: str, command: str, params: dict, files: dict) -> Path:
+    """Write ``files`` (name -> text) into ``out``, then ``<command>.manifest.txt``.
+
+    Each text is encoded once, as UTF-8 with surrogateescape so that a path
+    given on the command line is written back byte for byte, and each
+    digest is of those bytes. Returns the first file's path.
+    """
+    blobs = {name: text.encode("utf-8", "surrogateescape") for name, text in files.items()}
     lines = [
         f"command = {command}",
         f"version = {__version__}",
         f"wall_clock = {time.strftime('%Y-%m-%dT%H:%M:%SZ', time.gmtime())}",
+        *(f"{key} = {_fmt(params[key])}" for key in sorted(params)),
+        *(f"output {name} sha256 = {hashlib.sha256(data).hexdigest()}" for name, data in blobs.items()),
     ]
-    for key in sorted(params):
-        lines.append(f"{key} = {_fmt(params[key])}")
-    for path in outputs:
-        digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        lines.append(f"output {path.name} sha256 = {digest}")
-    _write_text(out_dir / f"{command}.manifest.txt", "\n".join(lines) + "\n")
+    blobs[f"{command}.manifest.txt"] = ("\n".join(lines) + "\n").encode("utf-8", "surrogateescape")
+    out_dir = Path(out)
+    for name, data in blobs.items():
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+            (out_dir / name).write_bytes(data)
+        except OSError as exc:
+            raise _IOFailure(f"cannot write {out_dir / name}: {exc}") from exc
+    return out_dir / next(iter(files))
 
 
 def _resolve_code(token: str) -> codec.LinearCode:
@@ -184,14 +187,7 @@ def cmd_curves(args: argparse.Namespace) -> int:
     opt = _options(args, _CURVES_DEFAULTS)
     spec = rates.SweepSpec(**{k: v for k, v in opt.items() if k != "svg"})
     rows = rates.sweep(spec)
-
-    out_dir = Path(args.out)
-    lines = [",".join(rates.CSV_COLUMNS)]
-    lines.extend(_csv_line(r.as_csv_values()) for r in rows)
-    csv_path = out_dir / "curves.csv"
-    _write_text(csv_path, "\n".join(lines) + "\n")
-    outputs = [csv_path]
-
+    files = {"curves.csv": _csv_text(rates.CSV_COLUMNS, (r.as_csv_values() for r in rows))}
     if opt["svg"]:
         g = np.array([r.gamma for r in rows])
         chart = LineChart(
@@ -208,11 +204,8 @@ def cmd_curves(args: argparse.Namespace) -> int:
             ("layered total (exact)", "sum_exact", "2,2"),
         ):
             chart.add_series(label, g, np.array([getattr(r, column) for r in rows]), dash=dash)
-        svg_path = out_dir / "curves.svg"
-        _write_text(svg_path, chart.render())
-        outputs.append(svg_path)
-
-    _write_manifest(out_dir, "curves", {**opt, "seed": args.seed}, outputs)
+        files["curves.svg"] = chart.render()
+    csv_path = _write_outputs(args.out, "curves", {**opt, "seed": args.seed}, files)
     print(f"wrote {csv_path} ({len(rows)} rows)")
     return 0
 
@@ -264,16 +257,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             "cond_ber2_given_v1_err": stats.cond_ber2_given_v1_err,
         })
 
-    out_dir = Path(args.out)
-    csv_path = out_dir / "sim.csv"
-    lines = [",".join(rows[0])] + [_csv_line(row.values()) for row in rows]
-    _write_text(csv_path, "\n".join(lines) + "\n")
-    _write_manifest(
-        out_dir,
-        "sim",
-        {**opt, "sigma2": ",".join(_fmt(cfg.sigma2) for cfg in cfgs), "seed": args.seed},
-        [csv_path],
-    )
+    params = {**opt, "sigma2": ",".join(_fmt(cfg.sigma2) for cfg in cfgs), "seed": args.seed}
+    csv_path = _write_outputs(args.out, "sim", params,
+                              {"sim.csv": _csv_text(rows[0], (row.values() for row in rows))})
     print(f"wrote {csv_path} ({len(rows)} rows)")
     return 0
 
@@ -455,10 +441,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     text = rep.text()
     sys.stdout.write(text)
-    out_dir = Path(args.out)
-    report_path = out_dir / "verify.txt"
-    _write_text(report_path, text)
-    _write_manifest(out_dir, "verify", {**opt, "seed": args.seed}, [report_path])
+    _write_outputs(args.out, "verify", {**opt, "seed": args.seed}, {"verify.txt": text})
     return 0 if rep.failures == 0 else 1
 
 

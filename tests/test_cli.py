@@ -2,6 +2,7 @@
 and byte-level determinism of every artifact."""
 
 import hashlib
+import os
 import re
 import subprocess
 import sys
@@ -151,18 +152,6 @@ def test_curves_outputs_are_byte_stable(tmp_path):
     assert r1.returncode == 0 and r2.returncode == 0
     assert read(a / "curves.csv") == read(b / "curves.csv")
     assert read(a / "curves.svg") == read(b / "curves.svg")
-
-
-def test_curves_manifest_records_true_hashes(tmp_path):
-    out = run_cli("curves", "--points", "5", cwd=tmp_path)
-    assert out.returncode == 0
-    manifest = (tmp_path / "curves.manifest.txt").read_text()
-    assert "command = curves" in manifest
-    assert "seed = 0" in manifest
-    m = re.search(r"^output curves\.csv sha256 = ([0-9a-f]{64})$", manifest, re.M)
-    assert m, manifest
-    want = hashlib.sha256(read(tmp_path / "curves.csv")).hexdigest()
-    assert m.group(1) == want
 
 
 @pytest.mark.parametrize("gamma_max", ["1e301", "inf", "nan"])
@@ -770,3 +759,65 @@ def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path, command):
         outputs.append(_artifacts(out))
     assert len(outputs[0]) >= 2
     assert outputs[0] == outputs[1]
+
+
+# ---------------------------------------------------------------------------
+# the output writer: manifests, refusals, encoding
+
+
+def _manifest_digests(path):
+    return dict(re.findall(r"^output (\S+) sha256 = ([0-9a-f]{64})$",
+                           path.read_text(encoding="utf-8"), re.M))
+
+
+@pytest.mark.parametrize("argv,stem,written", [
+    (("curves", "--points", "5", "--svg"), "curves", {"curves.csv", "curves.svg"}),
+    (("simulate", "--trials", "20"), "sim", {"sim.csv"}),
+    (VERIFY_FAST, "verify", {"verify.txt"}),
+], ids=["curves", "simulate", "verify"])
+def test_manifest_records_true_hashes(tmp_path, argv, stem, written):
+    out = run_cli(*argv, "--out", "out", cwd=tmp_path)
+    assert out.returncode == 0, out.stdout + out.stderr
+    out_dir = tmp_path / "out"
+    manifest = out_dir / f"{stem}.manifest.txt"
+    text = manifest.read_text(encoding="utf-8")
+    assert text.startswith(f"command = {stem}\n") and "\nseed = 0\n" in text
+    assert {p.name for p in out_dir.iterdir()} == written | {manifest.name}
+    # the manifest lists exactly the files written, each with the digest of its bytes
+    assert _manifest_digests(manifest) == {
+        name: hashlib.sha256(read(out_dir / name)).hexdigest() for name in written}
+
+
+@pytest.mark.parametrize("argv", [
+    ("curves", "--gamma-max", "1e301"),
+    ("simulate", "--code1", "hamming74", "--code2", "identity8"),
+    ("verify", "--gap-threshold", "0.5"),
+], ids=["curves", "simulate", "verify"])
+def test_a_refusal_after_parsing_writes_nothing(tmp_path, argv):
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    out = run_cli(*argv, "--out", str(out_dir), cwd=tmp_path)
+    assert out.returncode == 2, out.stdout + out.stderr
+    assert "error: " in out.stderr and "Traceback" not in out.stderr
+    assert list(out_dir.iterdir()) == []
+
+
+def test_outputs_are_utf8_under_an_ascii_locale(tmp_path):
+    # argv's non-ASCII path is written back byte for byte, whatever the locale's encoding
+    gen = tmp_path / "g\u00e9n7.txt"
+    gen.write_text("".join(" ".join("1" if j == i else "0" for j in range(7)) + "\n"
+                           for i in range(7)), encoding="utf-8")
+    env = {**cli_env(), "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+    out = subprocess.run(
+        [sys.executable, "-m", "ocbsim", "simulate", "--code1", f"@{gen}", "--code2", "identity7",
+         "--trials", "10", "--out", "out"],
+        cwd=tmp_path, capture_output=True, env=env,
+    )
+    assert out.returncode == 0, out.stdout + out.stderr
+    token = b"@" + os.fsencode(gen)
+    lines = read(tmp_path / "out" / "sim.csv").splitlines()
+    assert dict(zip(lines[0].split(b","), lines[1].split(b",")))[b"code1"] == token
+    manifest = tmp_path / "out" / "sim.manifest.txt"
+    assert b"\ncode1 = " + token + b"\n" in read(manifest)
+    assert _manifest_digests(manifest) == {
+        "sim.csv": hashlib.sha256(read(tmp_path / "out" / "sim.csv")).hexdigest()}
