@@ -29,17 +29,22 @@ an asymptotic first guess, and its weights follow from H_{N-1} at the
 roots: no eigensolver, so no rate path calls LAPACK, whose threaded kernels
 would wake BLAS's worker pool.
 
+The rate rows use the 1D ``mi_bpsk`` (QPSK as 2 mi_bpsk(gamma / 2)) and
+``stream_mi_ocb``; the 2D ``mi_qpsk`` and the Monte Carlo estimator are
+verify's independent oracles for them.
+
 The seeded Monte Carlo estimator, used for cross-validation, takes each
 sample's information density as the ratio of its in-group and total sums of
 the max-shifted, exponentiated joint terms, so one estimator serves any
 grouping of the points. It does this arithmetic in cache-sized blocks of
 samples, finds each sample's point by counting cdf entries rather than by a
-search, gathers each sample's group term with one flat ``np.take``, and
-reduces without BLAS, so its working set is O(m) in the m samples of a
-chunk and its result does not depend on the block size. A chunk holds two
-sample rows: the uniforms, which its per-sample values overwrite, and a 2D
-set's first noise dimension, which the deviations from the mean overwrite.
-The last dimension's noise is drawn a block at a time, the same draws as
+search, takes each sample's group term as the column sum of the
+exponentiated table masked to its group, and reduces without BLAS, so its
+working set is O(m) in the m samples of a chunk and its result does not
+depend on the block size. A chunk holds two sample rows: the uniforms,
+which its per-sample values overwrite, and a 2D set's first noise
+dimension, which the deviations from the mean overwrite. The last
+dimension's noise is drawn a block at a time, the same draws as
 one fill, into a buffer allocated once per estimate with the block tables.
 It refuses a noise variance at which a sample's own exponent could
 overflow, and takes any other exponent past float range as a term of 0.
@@ -483,7 +488,11 @@ def mi_bpsk(gamma: float, order: int = DEFAULT_QUAD_ORDER) -> float:
 
 
 def mi_qpsk(gamma: float, order: int = DEFAULT_QUAD_ORDER) -> float:
-    """QPSK mutual information as a function of gamma = E_s / sigma2 alone."""
+    """QPSK mutual information as a function of gamma = E_s / sigma2 alone.
+
+    The axis-aligned 2D quadrature: verify's oracle for the rate rows' QPSK
+    column, which is the 1D form 2 mi_bpsk(gamma / 2).
+    """
     _check_gamma(gamma)
     # axis-aligned four points with symbol energy gamma (sigma2 = 1)
     c = np.sqrt(gamma / 2.0)

@@ -3,13 +3,19 @@ the exact chain-rule decomposition, swept over an SNR grid.
 
 The claimed accounting assigns the axis stream half of the QPSK mutual
 information and the sign stream a full BPSK rate at the same symbol SNR
-(the r_c1_claimed and r_c2 columns of curves.csv):
+(the r_c1_claimed and r_c2 columns of curves.csv). QPSK is two orthogonal
+BPSK streams at half the symbol SNR, so every claimed column comes from the
+one 1D curve mi_bpsk, at gamma and at gamma / 2:
 
-    r_j_claimed(gamma) = mi_qpsk(gamma) / 2 + mi_bpsk(gamma)
+    i_qpsk(gamma)      = 2 mi_bpsk(gamma / 2)
+    r_j_claimed(gamma) = mi_bpsk(gamma / 2) + mi_bpsk(gamma)
 
 The exact accounting, awgn_info.stream_mi_ocb, decomposes the joint
 four-point rate by the chain rule I(V1,V2;Y) = I(V1;Y) + I(V2;Y|V1) (the
-i_v1_exact and i_v2_exact columns); its total always equals mi_qpsk(gamma).
+i_v1_exact and i_v2_exact columns); its total always equals the QPSK rate.
+Its rotated four-point quadrature is the one 2D call per row. The 2D
+awgn_info.mi_qpsk is not called here: it is verify's independent oracle
+for both the decomposition and the chain-rule total.
 The difference between the two accountings is reported, never asserted away.
 
 The claimed gap over QPSK is unimodal in gamma; find_claim_interval leans
@@ -28,7 +34,6 @@ from .awgn_info import (
     GAMMA_MAX,
     gaussian_capacity,
     mi_bpsk,
-    mi_qpsk,
     stream_mi_ocb,
 )
 
@@ -97,14 +102,13 @@ def gamma_grid(spec: SweepSpec) -> np.ndarray:
 
 def rate_row(gamma: float, order: int = DEFAULT_QUAD_ORDER) -> RateRow:
     i_b = mi_bpsk(gamma, order)
-    i_q = mi_qpsk(gamma, order)
+    r_c1 = mi_bpsk(gamma / 2.0, order)  # the claimed axis rate: QPSK's half, one BPSK stream at gamma / 2
     c_g = gaussian_capacity(gamma, "complex")
-    r_c1 = 0.5 * i_q
     i_v1, i_v2 = stream_mi_ocb(gamma, order)
     return RateRow(
         gamma=float(gamma),
         i_bpsk=i_b,
-        i_qpsk=i_q,
+        i_qpsk=2.0 * r_c1,
         c_gauss_complex=c_g,
         r_c1_claimed=r_c1,
         r_c2=i_b,
@@ -123,9 +127,9 @@ def sweep(spec: SweepSpec) -> list[RateRow]:
 def claimed_gap(gamma: float, order: int = DEFAULT_QUAD_ORDER) -> float:
     """The claimed composite rate less the QPSK rate: rate_row's r_j_claimed - i_qpsk, in bits.
 
-    Evaluated through the decomposition mi_qpsk(g) = 2 mi_bpsk(g/2) as
-    mi_bpsk(g) - mi_bpsk(g/2): same value to machine precision, but one
-    dimensional, so interval searches stay cheap.
+    Both come from the 1D curve, i_qpsk = 2 mi_bpsk(gamma / 2), so the gap is
+    mi_bpsk(gamma) - mi_bpsk(gamma / 2), the value rate_row's columns give up
+    to one rounding of their sum and difference.
     """
     return mi_bpsk(gamma, order) - mi_bpsk(gamma / 2.0, order)
 

@@ -148,6 +148,24 @@ def test_sweep_row_invariants():
         assert row.r_c2 == pytest.approx(row.i_v2_exact, abs=1e-12)
 
 
+@pytest.mark.parametrize("order", [MIN_QUAD_ORDER, DEFAULT_QUAD_ORDER, MAX_QUAD_ORDER])
+def test_qpsk_columns_are_the_1d_curve_and_print_as_the_2d_quadrature(order):
+    # the row's QPSK column is 2 mi_bpsk(gamma / 2) exactly; curves.csv prints
+    # its columns to 12 significant digits, and on the default grid those
+    # digits are the ones the 2D QPSK quadrature gives
+    from ocbsim.cli import _fmt
+
+    for g in rates.gamma_grid(SweepSpec()):
+        row = rates.rate_row(g, order)
+        half = mi_bpsk(g / 2.0, order)
+        assert row.i_qpsk == 2.0 * half
+        assert row.r_c1_claimed == half
+        i_q = mi_qpsk(g, order)
+        r_c1 = 0.5 * i_q
+        from_2d = (i_q, r_c1, r_c1 + mi_bpsk(g, order))
+        assert tuple(map(_fmt, (row.i_qpsk, row.r_c1_claimed, row.r_j_claimed))) == tuple(map(_fmt, from_2d))
+
+
 def test_sweep_curves_are_monotone_and_ordered():
     rows = rates.sweep(SweepSpec())
     for prev, cur in zip(rows, rows[1:]):
