@@ -192,7 +192,7 @@ def cmd_curves(args: argparse.Namespace) -> int:
         g = np.array([r.gamma for r in rows])
         chart = LineChart(
             title="Reliable-rate curves over the AWGN channel",
-            x_label="symbol SNR (linear scale, log axis)",
+            x_label=f"symbol SNR (linear scale, {spec.spacing} axis)",
             y_label="bits per symbol",
             log_x=spec.spacing == "log",
         )

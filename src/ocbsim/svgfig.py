@@ -30,6 +30,17 @@ def _fmt(x: float) -> str:
     return f"{x:.2f}"
 
 
+def _text(x, y, size, body, anchor=None, attrs="") -> str:
+    """A sans-serif <text>; attrs are written after the font size."""
+    anchor = f' text-anchor="{anchor}"' if anchor else ""
+    return (f'<text x="{x}" y="{y}"{anchor} font-family="sans-serif" '
+            f'font-size="{size}"{attrs}>{body}</text>')
+
+
+def _grid_line(x1, y1, x2, y2) -> str:
+    return f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" stroke="#dddddd" stroke-width="1"/>'
+
+
 def _nice_step(span: float) -> float:
     """A 1-2-5 step that cuts span into at most 8 intervals."""
     step = 10.0 ** np.floor(np.log10(span / 4.0))
@@ -43,6 +54,12 @@ class Series:
     y: np.ndarray
     color: str
     dash: str | None = None
+
+
+def _stroke(s: Series) -> str:
+    """The stroke attributes a series' polyline and its legend swatch share."""
+    dash = f' stroke-dasharray="{s.dash}"' if s.dash else ""
+    return f'stroke="{s.color}" stroke-width="1.5"{dash}'
 
 
 @dataclass
@@ -71,8 +88,8 @@ class LineChart:
         ys = np.concatenate([s.y for s in self.series])
         x0, x1 = float(xs.min()), float(xs.max())
         y0, y1 = min(0.0, float(ys.min())), float(ys.max())
-        if x1 == x0:
-            x1 = x0 + 1.0
+        if x1 == x0:  # widen by 1, or by |x0| where x0 + 1 rounds to x0 (a linear axis at 1e300)
+            x1 = x0 + 1.0 if x0 + 1.0 != x0 else x0 + abs(x0)
         if y1 == y0:
             y1 = y0 + 1.0
         return x0, x1, y0, y1 * 1.05
@@ -98,6 +115,7 @@ class LineChart:
         x0, x1, y0, y1 = self._limits()
         px0, px1 = _MARGIN_LEFT, _WIDTH - _MARGIN_RIGHT
         py0, py1 = _HEIGHT - _MARGIN_BOTTOM, _MARGIN_TOP
+        pym = (py0 + py1) // 2
 
         def sx(x):
             return px0 + (x - x0) / (x1 - x0) * (px1 - px0)
@@ -109,64 +127,32 @@ class LineChart:
             f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
             f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
             f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
-            f'<text x="{_WIDTH // 2}" y="20" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="14">{self.title}</text>',
+            _text(_WIDTH // 2, 20, 14, self.title, "middle"),
         ]
         # axes and grid
         for xv, lab in self._x_ticks(x0, x1):
-            px = sx(xv)
-            out.append(
-                f'<line x1="{_fmt(px)}" y1="{py0}" x2="{_fmt(px)}" y2="{py1}" '
-                'stroke="#dddddd" stroke-width="1"/>'
-            )
-            out.append(
-                f'<text x="{_fmt(px)}" y="{py0 + 18}" text-anchor="middle" '
-                f'font-family="sans-serif" font-size="11">{lab}</text>'
-            )
+            px = _fmt(sx(xv))
+            out += [_grid_line(px, py0, px, py1), _text(px, py0 + 18, 11, lab, "middle")]
         for yv, lab in self._y_ticks(y0, y1):
             py = sy(yv)
-            out.append(
-                f'<line x1="{px0}" y1="{_fmt(py)}" x2="{px1}" y2="{_fmt(py)}" '
-                'stroke="#dddddd" stroke-width="1"/>'
-            )
-            out.append(
-                f'<text x="{px0 - 6}" y="{_fmt(py + 4)}" text-anchor="end" '
-                f'font-family="sans-serif" font-size="11">{lab}</text>'
-            )
-        out.append(
+            out += [_grid_line(px0, _fmt(py), px1, _fmt(py)),
+                    _text(px0 - 6, _fmt(py + 4), 11, lab, "end")]
+        out += [
             f'<rect x="{px0}" y="{py1}" width="{px1 - px0}" height="{py0 - py1}" '
-            'fill="none" stroke="black" stroke-width="1"/>'
-        )
-        out.append(
-            f'<text x="{(px0 + px1) // 2}" y="{_HEIGHT - 10}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="12">{self.x_label}</text>'
-        )
-        out.append(
-            f'<text x="14" y="{(py0 + py1) // 2}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="12" '
-            f'transform="rotate(-90 14 {(py0 + py1) // 2})">{self.y_label}</text>'
-        )
+            'fill="none" stroke="black" stroke-width="1"/>',
+            _text((px0 + px1) // 2, _HEIGHT - 10, 12, self.x_label, "middle"),
+            _text(14, pym, 12, self.y_label, "middle", f' transform="rotate(-90 14 {pym})"'),
+        ]
         # series
         for s in self.series:
             tx = self._x_transform(s.x)
             pts = " ".join(f"{_fmt(sx(a))},{_fmt(sy(b))}" for a, b in zip(tx, s.y))
-            dash = f' stroke-dasharray="{s.dash}"' if s.dash else ""
-            out.append(
-                f'<polyline points="{pts}" fill="none" stroke="{s.color}" '
-                f'stroke-width="1.5"{dash}/>'
-            )
+            out.append(f'<polyline points="{pts}" fill="none" {_stroke(s)}/>')
         # legend, top-left inside the plot area
         lx, ly = px0 + 10, py1 + 14
         for i, s in enumerate(self.series):
             yy = ly + 16 * i
-            dash = f' stroke-dasharray="{s.dash}"' if s.dash else ""
-            out.append(
-                f'<line x1="{lx}" y1="{yy - 4}" x2="{lx + 24}" y2="{yy - 4}" '
-                f'stroke="{s.color}" stroke-width="1.5"{dash}/>'
-            )
-            out.append(
-                f'<text x="{lx + 30}" y="{yy}" font-family="sans-serif" '
-                f'font-size="11">{s.label}</text>'
-            )
+            out += [f'<line x1="{lx}" y1="{yy - 4}" x2="{lx + 24}" y2="{yy - 4}" {_stroke(s)}/>',
+                    _text(lx + 30, yy, 11, s.label)]
         out.append("</svg>")
         return "\n".join(out) + "\n"

@@ -6,9 +6,13 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
+import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 from conftest import cli_env
+from hypothesis import given, seed, settings, strategies as st
 
 from ocbsim.rates import CSV_COLUMNS
 
@@ -174,6 +178,63 @@ def test_curves_at_the_snr_ceiling_are_exact(tmp_path):
         for col, bits in (("i_bpsk", 1.0), ("i_v2_exact", 1.0), ("i_qpsk", 2.0),
                           ("sum_exact", 2.0)):
             assert abs(rec[col] - bits) < 1e-12, col
+
+
+# typed edge pools for each curves flag: both ends of float range, tokens that
+# are not ASCII numbers (non-ASCII digits, which float() takes, and a superscript
+# two, which it refuses), values just inside and outside each range, and ordinary values
+GAMMA_TOKENS = ["0", "-0.0", "-1", "nan", "inf", "-inf", "5e-324", "1e-320", "1e300", "1e301",
+                "", "two", "\u0662", "\uff11\uff10", "\u00b2", "0.01", "2", "100"]
+CURVES_POOLS = {
+    "gamma-min": GAMMA_TOKENS,
+    "gamma-max": GAMMA_TOKENS,
+    "points": ["-1", "0", "1", "2", "3", "4", "5"],
+    "spacing": ["log", "linear", "cubic"],
+    "quad-order": ["15", "16", "128", "370", "371"],
+}
+
+
+@st.composite
+def curves_flags(draw):
+    """A ``curves`` argv (each flag left out or drawn from its pool) and the rows it asks for."""
+    argv, points = ["curves"], 60
+    for flag, pool in CURVES_POOLS.items():
+        token = draw(st.sampled_from([None, *pool]))
+        if token is not None:
+            argv.append(f"--{flag}={token}")
+            if flag == "points":
+                points = int(token)
+    if draw(st.booleans()):
+        argv.append("--svg")
+    return argv, points
+
+
+@seed(20190423)
+@settings(max_examples=500, deadline=None)
+@given(curves_flags())
+def test_every_curves_run_writes_its_rows_or_exits_2_writing_nothing(case):
+    from ocbsim import cli
+
+    argv, points = case
+    with tempfile.TemporaryDirectory() as tmp:  # hypothesis refuses function-scoped fixtures
+        out_dir = Path(tmp) / "out"
+        out_dir.mkdir()
+        try:
+            code = cli.main([*argv, "--out", str(out_dir)])
+        except SystemExit as exc:  # argparse's usage error
+            code = exc.code
+        # a RuntimeWarning never gets here: the pytest config makes it an error
+        assert code in (0, 2), argv
+        if code == 2:
+            assert list(out_dir.iterdir()) == [], argv
+            return
+        lines = (out_dir / "curves.csv").read_text(encoding="utf-8").splitlines()
+        assert lines[0] == ",".join(CSV_COLUMNS) and len(lines) == points + 1, argv
+        svg = out_dir / "curves.svg"
+        assert svg.exists() == ("--svg" in argv), argv
+        if "--svg" in argv:
+            root = ET.parse(svg).getroot()
+            assert len(root.findall("{http://www.w3.org/2000/svg}polyline")) == 5, argv
 
 
 def test_curves_config_file_merging(tmp_path):
