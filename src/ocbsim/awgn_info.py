@@ -15,8 +15,9 @@ boundary: ``mi_awgn`` takes a PointSet and a NoiseModel, leaves out points
 of zero prior, gives 0 bits for one distinct point, and hands plain arrays
 to ``_quadrature``, which checks nothing. The named curves ``mi_bpsk``,
 ``mi_qpsk`` and ``stream_mi_ocb`` take the SNR alone and check it, then call
-``_quadrature`` directly on their fixed alphabets with the same arithmetic,
-so the rate audit's thousand-odd calls build no PointSet. The kernel works
+``_quadrature`` directly on their fixed alphabets: the same bits as
+``mi_awgn`` on the matching PointSet, and the rate audit's thousand-odd
+calls build no PointSet. The kernel works
 in noise units, so any noise variance is safe; from the point offsets
 s_l - s_k, differenced before they are scaled, so the geometry stays exact
 far from the origin and the noise stays exact next to any amplitude up to
@@ -27,7 +28,8 @@ its working set is O(K N^2). Its nodes are the roots of the Hermite
 polynomial H_N, found by Newton's method on the three-term recurrence from
 an asymptotic first guess, and its weights follow from H_{N-1} at the
 roots: no eigensolver, so no rate path calls LAPACK, whose threaded kernels
-would wake BLAS's worker pool.
+would wake BLAS's worker pool (a test runs curves and verify with numpy's
+eigensolvers replaced by a function that raises).
 
 The rate rows use the 1D ``mi_bpsk`` (QPSK as 2 mi_bpsk(gamma / 2)) and
 ``stream_mi_ocb``; the 2D ``mi_qpsk`` and the Monte Carlo estimator are
@@ -146,6 +148,7 @@ class PointSet:
         return self.points.shape[0]
 
 
+# the benchmark's replay still calls the two names the alphabet had per dimension
 PointSet1D = PointSet2D = PointSet
 
 
@@ -226,7 +229,8 @@ def mi_awgn(alphabet: PointSet, noise: NoiseModel, order: int = DEFAULT_QUAD_ORD
     NoiseModel, points of zero prior are left out, and an alphabet of one
     distinct point carries 0 bits; the rest is ``_quadrature``. An offset
     past float range in noise units, at a tiny noise variance or between
-    points far apart, makes an exponent -inf: a term of exactly 0.
+    points far apart (any two at sigma2 = 5e-324, or points 1e200 apart at
+    sigma2 = 1), makes an exponent -inf: a term of exactly 0, without a warning.
     """
     keep = alphabet.probs > 0.0
     points, probs = alphabet.points[keep], alphabet.probs[keep]
@@ -359,7 +363,8 @@ def mi_monte_carlo_grouped(alphabet: PointSet, groups, noise: NoiseModel, sample
     (cdf[-1] is 1.0 and u_i < 1). The density is then computed in blocks of
     _MC_BLOCK samples, so each (K, block) table stays in cache: the exponent table
     ln pi_l - |y_i - s_l|^2 / (2 sigma2), from y_i - s_l = (s_k - s_l) + n_i
-    so a large common offset loses no noise, shifted by its column maximum and
+    so a large common offset loses no noise ({1e16, 1e16 + 2} has the rate
+    of {0, 2}), shifted by its column maximum and
     exponentiated in place, is E; for sample i in group g,
         ln(sum_{l in g} E[l, i] / sum_l E[l, i]) - ln pi_g,
     since the shift and the Gaussian normalisation cancel in the ratio; the

@@ -19,7 +19,10 @@ Outputs are UTF-8 text, byte-identical across reruns and across
 writes its data files and a plain-text manifest (``curves.manifest.txt``,
 ``sim.manifest.txt``, ``verify.manifest.txt``) recording the command,
 parameters, seed, version, wall-clock and the SHA-256 of each file's bytes as
-written. A refused run (exit 2) writes nothing.
+written. A refused run (exit 2) writes nothing. Floats are written with
+12 significant digits in CSV and 2 decimals in SVG coordinates, so no
+platform-dependent float repr reaches an artifact, and no output depends
+on the BLAS thread count.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or config error,
 3 I/O error.

@@ -31,10 +31,10 @@ _ML_MAX_K = 16
 _ML_METRIC_ENTRIES = 1 << 16  # frames x codewords per ML correlation chunk
 _BP_DEFAULT_ITERATIONS = 50
 LLR_CLIP = 30.0  # decoders saturate message magnitudes here
-# largest built-in generator, M x K entries: identity8192 (about 175 MB to
-# build); LDPC elimination XORs whole rows held as Python ints (30 bits to a
-# digit), so it grows as n^3 / 30, and ldpc8192 takes about 1.2 s on a 2-CPU
-# x86-64 host
+# largest built-in generator, M x K entries: identity8192, built from two
+# 64 MB copies of its generator (the caller's and the code's own); LDPC
+# elimination XORs whole rows held as Python ints (30 bits to a digit), so
+# it grows as n^3 / 30
 MAX_GENERATOR_ENTRIES = 1 << 26
 
 

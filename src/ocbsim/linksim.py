@@ -20,6 +20,8 @@ That frame's draws are one random_raw for its source bits, collected in a
 list and concatenated once, and one standard_normal drawn into its row of
 the block's noise. The block's noise is then scaled by sigma once, and
 + 0.0 reproduces normal's 0 + sigma z (+0.0 where sigma z is -0.0).
+Tests check these draws bit for bit, -0.0 included, against numpy's own
+per-frame generators, on the oldest numpy the package allows and the latest.
 Everything after the draws (encoding, mapping, demapping, decoding,
 tallying) runs on (T, M) arrays of the block's T frames at once.
 A frame's result does not depend on the block it lands in, so the block
@@ -101,7 +103,7 @@ class LinkConfig:
 
     @property
     def shards(self) -> int:
-        """Always 1, for the benchmark's replay; goes with it, like codec.LinearCode.kind."""
+        """Always 1: only the benchmark's replay reads it, so it goes when the replay goes."""
         return 1
 
 
@@ -364,8 +366,9 @@ def _run_blocks(cfg: LinkConfig, blocks) -> SimStats:
 
 def run_trials(cfg: LinkConfig, threads: int = 1) -> SimStats:
     """Full receiver chain over cfg.trials frames on min(threads, blocks)
-    worker processes, each running a contiguous run of whole blocks; with one
-    worker it runs in-process. The tallies do not depend on threads."""
+    worker processes, each running a contiguous run of whole blocks, whose
+    tallies add up in run order; with one worker it runs in-process. The
+    tallies do not depend on threads."""
     per_block = max(1, BLOCK_SYMBOLS // cfg.code1.M)
     blocks = [range(t, min(t + per_block, cfg.trials)) for t in range(0, cfg.trials, per_block)]
     workers = min(threads, len(blocks))

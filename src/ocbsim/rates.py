@@ -88,7 +88,11 @@ class SweepSpec:
             raise ValueError("gamma_max must be >= gamma_min")
         if not self.gamma_max <= GAMMA_MAX:
             raise ValueError(f"gamma_max must be at most {GAMMA_MAX:g}, got {self.gamma_max}")
-        if self.points < 1 or (self.points < 2 and self.gamma_max > self.gamma_min):
+        # the grid has one point exactly when its range is one value
+        if self.points < 1 or (self.points == 1) != (self.gamma_max == self.gamma_min):
+            if self.gamma_max == self.gamma_min:
+                raise ValueError(f"gamma_min = gamma_max = {self.gamma_min:g} is one grid point: "
+                                 f"use --points 1, got {self.points}")
             raise ValueError("need at least 2 grid points for a nontrivial range")
         if self.spacing not in ("log", "linear"):
             raise ValueError("spacing must be 'log' or 'linear'")

@@ -17,8 +17,7 @@ from conftest import cli_env
 from ocbsim import codec, linksim, rates
 from ocbsim.awgn_info import (
     NoiseModel,
-    PointSet1D,
-    PointSet2D,
+    PointSet,
     mi_bpsk,
     mi_monte_carlo,
     mi_monte_carlo_grouped,
@@ -141,18 +140,18 @@ def test_criterion_08_backend_cross_validation():
     worst_z = 0.0
     for i, g in enumerate(gammas):
         quad = mi_bpsk(g)
-        mc = mi_monte_carlo(PointSet1D.uniform([np.sqrt(g), -np.sqrt(g)]), noise, n, seed=800 + i)
+        mc = mi_monte_carlo(PointSet.uniform([np.sqrt(g), -np.sqrt(g)]), noise, n, seed=800 + i)
         worst_z = max(worst_z, abs(quad - mc.bits) / mc.stderr)
 
         amp = np.sqrt(g / 2.0)
         quad = mi_qpsk(g)
-        pts = PointSet2D.uniform([[amp, amp], [-amp, amp], [amp, -amp], [-amp, -amp]])
+        pts = PointSet.uniform([[amp, amp], [-amp, amp], [amp, -amp], [-amp, -amp]])
         mc = mi_monte_carlo(pts, noise, n, seed=830 + i)
         worst_z = max(worst_z, abs(quad - mc.bits) / mc.stderr)
 
         a = np.sqrt(g)
         quad = stream_mi_ocb(g)[0]
-        pts = PointSet2D.uniform([[a, 0.0], [0.0, a], [-a, 0.0], [0.0, -a]])
+        pts = PointSet.uniform([[a, 0.0], [0.0, a], [-a, 0.0], [0.0, -a]])
         mc = mi_monte_carlo_grouped(pts, [0, 1, 0, 1], noise, n, seed=860 + i)
         worst_z = max(worst_z, abs(quad - mc.bits) / mc.stderr)
     _verdict(

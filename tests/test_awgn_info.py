@@ -36,18 +36,18 @@ def test_noise_model_rejects_nonpositive_variance(bad):
 
 def test_pointset_rejects_bad_probabilities():
     with pytest.raises(ValueError):
-        ai.PointSet1D([1.0, -1.0], [0.7, 0.7])
+        ai.PointSet([1.0, -1.0], [0.7, 0.7])
     with pytest.raises(ValueError):
-        ai.PointSet1D([1.0, -1.0], [1.5, -0.5])
+        ai.PointSet([1.0, -1.0], [1.5, -0.5])
     with pytest.raises(ValueError):
-        ai.PointSet1D([], [])
+        ai.PointSet([], [])
     with pytest.raises(ValueError):
         ai.PointSet.uniform([])
 
 
 def test_pointset2d_needs_two_columns():
     with pytest.raises(ValueError):
-        ai.PointSet2D(np.zeros((4, 3)), np.full(4, 0.25))
+        ai.PointSet(np.zeros((4, 3)), np.full(4, 0.25))
 
 
 @pytest.mark.parametrize("points,dims", [
@@ -91,23 +91,23 @@ def test_pointset_refuses_non_finite_points_and_priors(points, probs, match, dim
 
 
 def test_single_point_alphabet_carries_no_information():
-    r = ai.mi_awgn(ai.PointSet1D.uniform([0.0]), ai.NoiseModel(1.0))
+    r = ai.mi_awgn(ai.PointSet.uniform([0.0]), ai.NoiseModel(1.0))
     assert r.bits == 0.0
 
 
 def test_bpsk_vanishing_snr():
-    r = ai.mi_awgn(ai.PointSet1D.uniform([1.0, -1.0]), ai.NoiseModel(1e6))
+    r = ai.mi_awgn(ai.PointSet.uniform([1.0, -1.0]), ai.NoiseModel(1e6))
     assert 0.0 <= r.bits < 1e-4
 
 
 def test_bpsk_sigma2_one_matches_frozen_mc_oracle():
-    r = ai.mi_awgn(ai.PointSet1D.uniform([1.0, -1.0]), ai.NoiseModel(1.0))
+    r = ai.mi_awgn(ai.PointSet.uniform([1.0, -1.0]), ai.NoiseModel(1.0))
     assert abs(r.bits - V1_MC) < 3.0 * V1_SE
 
 
 def test_quadrature_order_floor():
     with pytest.raises(ValueError):
-        ai.mi_awgn(ai.PointSet1D.uniform([1.0, -1.0]), ai.NoiseModel(1.0), order=8)
+        ai.mi_awgn(ai.PointSet.uniform([1.0, -1.0]), ai.NoiseModel(1.0), order=8)
 
 
 # ---------------------------------------------------------------------------
@@ -117,24 +117,24 @@ def test_quadrature_order_floor():
 def test_square_constellation_splits_into_two_bpsk_dimensions():
     for alpha, s2 in [(1.0, 1.0), (0.5, 0.25), (2.0, 1.3)]:
         pts = [(alpha, alpha), (alpha, -alpha), (-alpha, alpha), (-alpha, -alpha)]
-        two_d = ai.mi_awgn(ai.PointSet2D.uniform(pts), ai.NoiseModel(s2)).bits
-        one_d = ai.mi_awgn(ai.PointSet1D.uniform([alpha, -alpha]), ai.NoiseModel(s2)).bits
+        two_d = ai.mi_awgn(ai.PointSet.uniform(pts), ai.NoiseModel(s2)).bits
+        one_d = ai.mi_awgn(ai.PointSet.uniform([alpha, -alpha]), ai.NoiseModel(s2)).bits
         assert abs(two_d - 2.0 * one_d) < 1e-6
 
 
 def test_rotated_four_point_set_has_the_qpsk_rate():
     # axis-aligned points vs the 45-degree square at equal symbol energy
     a = np.sqrt(2.0) * INV2
-    axis = ai.PointSet2D.uniform([(a, 0.0), (0.0, a), (-a, 0.0), (0.0, -a)])
+    axis = ai.PointSet.uniform([(a, 0.0), (0.0, a), (-a, 0.0), (0.0, -a)])
     c = a / np.sqrt(2.0)
-    square = ai.PointSet2D.uniform([(c, c), (c, -c), (-c, c), (-c, -c)])
+    square = ai.PointSet.uniform([(c, c), (c, -c), (-c, c), (-c, -c)])
     noise = ai.NoiseModel(1.0)
     assert abs(ai.mi_awgn(axis, noise).bits - ai.mi_awgn(square, noise).bits) < 1e-6
 
 
 def test_four_point_set_saturates_at_two_bits():
     pts = [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)]
-    r = ai.mi_awgn(ai.PointSet2D.uniform(pts), ai.NoiseModel(1e-8))
+    r = ai.mi_awgn(ai.PointSet.uniform(pts), ai.NoiseModel(1e-8))
     assert abs(r.bits - 2.0) < 1e-6
 
 
@@ -154,7 +154,7 @@ def test_quadrature_saturates_exactly_up_to_the_snr_ceiling(gamma, points):
 
 def test_degenerate_2d_alphabet_is_zero():
     pts = [(0.3, -0.2), (0.3, -0.2)]
-    assert ai.mi_awgn(ai.PointSet2D.uniform(pts), ai.NoiseModel(0.5)).bits == 0.0
+    assert ai.mi_awgn(ai.PointSet.uniform(pts), ai.NoiseModel(0.5)).bits == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +162,7 @@ def test_degenerate_2d_alphabet_is_zero():
 
 
 def test_mc_same_seed_is_bit_identical():
-    alphabet = ai.PointSet1D.uniform([1.0, -1.0])
+    alphabet = ai.PointSet.uniform([1.0, -1.0])
     noise = ai.NoiseModel(1.0)
     a = ai.mi_monte_carlo(alphabet, noise, 20_000, seed=42)
     b = ai.mi_monte_carlo(alphabet, noise, 20_000, seed=42)
@@ -170,7 +170,7 @@ def test_mc_same_seed_is_bit_identical():
 
 
 def test_mc_agrees_with_quadrature_on_bpsk():
-    alphabet = ai.PointSet1D.uniform([1.0, -1.0])
+    alphabet = ai.PointSet.uniform([1.0, -1.0])
     noise = ai.NoiseModel(1.0)
     mc = ai.mi_monte_carlo(alphabet, noise, 400_000, seed=7)
     exact = ai.mi_awgn(alphabet, noise).bits
@@ -179,7 +179,7 @@ def test_mc_agrees_with_quadrature_on_bpsk():
 
 def test_mc_agrees_with_quadrature_in_2d():
     pts = [(0.7, 0.7), (0.7, -0.7), (-0.7, 0.7), (-0.7, -0.7)]
-    alphabet = ai.PointSet2D.uniform(pts)
+    alphabet = ai.PointSet.uniform(pts)
     noise = ai.NoiseModel(0.8)
     mc = ai.mi_monte_carlo(alphabet, noise, 400_000, seed=19)
     exact = ai.mi_awgn(alphabet, noise).bits
@@ -187,19 +187,19 @@ def test_mc_agrees_with_quadrature_in_2d():
 
 
 def test_mc_single_point_is_exactly_zero_with_tiny_stderr():
-    r = ai.mi_monte_carlo(ai.PointSet1D.uniform([0.7]), ai.NoiseModel(1.0), 50_000, seed=5)
+    r = ai.mi_monte_carlo(ai.PointSet.uniform([0.7]), ai.NoiseModel(1.0), 50_000, seed=5)
     assert r.bits == 0.0
     assert r.stderr < 1e-3
 
 
 def test_mc_sample_floor():
     with pytest.raises(ValueError):
-        ai.mi_monte_carlo(ai.PointSet1D.uniform([1.0, -1.0]), ai.NoiseModel(1.0), 5000, seed=0)
+        ai.mi_monte_carlo(ai.PointSet.uniform([1.0, -1.0]), ai.NoiseModel(1.0), 5000, seed=0)
 
 
 def test_grouped_mc_matches_axis_stream_quadrature():
     a = np.sqrt(2.0) * INV2
-    pts = ai.PointSet2D.uniform([(a, 0.0), (0.0, a), (-a, 0.0), (0.0, -a)])
+    pts = ai.PointSet.uniform([(a, 0.0), (0.0, a), (-a, 0.0), (0.0, -a)])
     noise = ai.NoiseModel(1.0)
     grouped = ai.mi_monte_carlo_grouped(pts, [0, 1, 0, 1], noise, 400_000, seed=23)
     i_v1, _ = ai.stream_mi_ocb(1.0)
@@ -208,7 +208,7 @@ def test_grouped_mc_matches_axis_stream_quadrature():
 
 def test_grouped_mc_validates_labels():
     # one integer label per point, in a flat sequence: nothing truncated, flattened or overflowed
-    pts = ai.PointSet2D.uniform([(1.0, 0.0), (-1.0, 0.0)])
+    pts = ai.PointSet.uniform([(1.0, 0.0), (-1.0, 0.0)])
     for labels in ([0, 1, 0], [0.5, 0.7], [2**70, 0], [[0], [1]], [True, False]):
         with pytest.raises(ValueError, match="integer labels"):
             ai.mi_monte_carlo_grouped(pts, labels, ai.NoiseModel(1.0), 20_000, seed=0)
@@ -370,7 +370,7 @@ def test_bpsk_curve_is_scale_invariant(sigma2):
     # same gamma from different (energy, noise) pairs, same value
     gamma = 1.7
     amp = np.sqrt(gamma * sigma2)
-    direct = ai.mi_awgn(ai.PointSet1D.uniform([amp, -amp]), ai.NoiseModel(sigma2)).bits
+    direct = ai.mi_awgn(ai.PointSet.uniform([amp, -amp]), ai.NoiseModel(sigma2)).bits
     assert direct == pytest.approx(ai.mi_bpsk(gamma), abs=1e-9)
 
 
@@ -424,7 +424,7 @@ def test_curves_are_monotone_and_bounded_on_the_grid():
 @given(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=5), st.floats(0.05, 5.0))
 @settings(max_examples=25, deadline=None)
 def test_mi_is_between_zero_and_log_alphabet_size(points, sigma2):
-    alphabet = ai.PointSet1D.uniform(points)
+    alphabet = ai.PointSet.uniform(points)
     r = ai.mi_awgn(alphabet, ai.NoiseModel(sigma2))
     assert 0.0 <= r.bits <= np.log2(alphabet.size) + 1e-9
 
@@ -536,7 +536,7 @@ def _clipped(bits, k):
 @pytest.mark.parametrize("seed", range(16))
 def test_1d_quadrature_matches_reference(seed):
     points, probs, sigma2 = _random_alphabet(seed, 1)
-    got = ai.mi_awgn(ai.PointSet1D(points, probs), ai.NoiseModel(sigma2)).bits
+    got = ai.mi_awgn(ai.PointSet(points, probs), ai.NoiseModel(sigma2)).bits
     want = _clipped(_ref_mi_quadrature(points, probs, sigma2, ai.DEFAULT_QUAD_ORDER), points.size)
     assert abs(got - want) < 1e-12
 
@@ -546,7 +546,7 @@ def test_1d_quadrature_matches_reference(seed):
 def test_2d_quadrature_matches_reference(seed):
     points, probs, sigma2 = _random_alphabet(seed, 2)
     order = 32 + 32 * (seed % 4)
-    got = ai.mi_awgn(ai.PointSet2D(points, probs), ai.NoiseModel(sigma2), order).bits
+    got = ai.mi_awgn(ai.PointSet(points, probs), ai.NoiseModel(sigma2), order).bits
     want = _clipped(_ref_mi_quadrature(points, probs, sigma2, order), len(points))
     assert abs(got - want) < 1e-12
 
@@ -557,7 +557,7 @@ def test_2d_quadrature_where_the_underflow_clamp_engages(c):
     # points, so their product underflows and is clamped before the log.
     points = np.array([(0.0, 0.0), (c, -c), (-c, c)])
     probs = np.full(3, 1.0 / 3.0)
-    got = ai.mi_awgn(ai.PointSet2D(points, probs), ai.NoiseModel(1.0), ai.MAX_QUAD_ORDER).bits
+    got = ai.mi_awgn(ai.PointSet(points, probs), ai.NoiseModel(1.0), ai.MAX_QUAD_ORDER).bits
     want = _clipped(_ref_mi_quadrature(points, probs, 1.0, ai.MAX_QUAD_ORDER), 3)
     assert abs(got - want) < 1e-12
 
@@ -633,11 +633,10 @@ def test_monte_carlo_matches_reference(seed, dims, grouped, monkeypatch):
     noise = ai.NoiseModel(sigma2)
     if grouped:
         groups = np.arange(len(probs)) % 3
-        got = ai.mi_monte_carlo_grouped(ai.PointSet2D(points, probs), groups, noise, 20_000, seed)
+        got = ai.mi_monte_carlo_grouped(ai.PointSet(points, probs), groups, noise, 20_000, seed)
     else:
         groups = None
-        alphabet = ai.PointSet1D(points, probs) if dims == 1 else ai.PointSet2D(points, probs)
-        got = ai.mi_monte_carlo(alphabet, noise, 20_000, seed)
+        got = ai.mi_monte_carlo(ai.PointSet(points, probs), noise, 20_000, seed)
     bits, stderr = _ref_monte_carlo(points, probs, groups, sigma2, 20_000, seed, 7_000)
     assert abs(got.bits - bits) < 1e-12
     assert abs(got.stderr - stderr) < 1e-12
@@ -715,7 +714,7 @@ def test_mc_sample_stats_survive_a_large_offset():
 
 def test_2d_quadrature_working_set_stays_at_k_n_n():
     # one (K, K, N, N) temporary alone would take 34 MB at K = 16, N = 128
-    alphabet = ai.PointSet2D.uniform(np.random.default_rng(1).normal(size=(16, 2)))
+    alphabet = ai.PointSet.uniform(np.random.default_rng(1).normal(size=(16, 2)))
     noise = ai.NoiseModel(1.0)
     ai.mi_awgn(alphabet, noise, 128)  # fill the node cache first
     tracemalloc.start()

@@ -136,6 +136,13 @@ def test_curves_single_point(tmp_path):
     assert len(lines) == 2
 
 
+def test_curves_refuses_many_points_on_a_zero_width_range(tmp_path):
+    out = run_cli("curves", "--gamma-min", "2", "--gamma-max", "2", "--out", "out", cwd=tmp_path)
+    assert out.returncode == 2, out.stdout + out.stderr
+    assert "--points 1" in out.stderr and "Traceback" not in out.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_curves_at_the_smallest_subnormal_snr(tmp_path):
     from ocbsim import cli
 

@@ -112,6 +112,7 @@ def test_gamma_grid_single_point(spacing, gamma):
         dict(gamma_max=1e301),
         dict(gamma_max=float("inf")),
         dict(gamma_max=float("nan")),
+        dict(gamma_min=2.0, gamma_max=2.0, points=2),
     ],
 )
 def test_sweep_spec_validation(kwargs):
