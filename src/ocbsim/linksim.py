@@ -8,7 +8,9 @@ decode it, tally errors.
 Reproducibility contract: trial t draws what a private generator seeded by
 SeedSequence([seed, t]) would draw, in the order c1, c2, real noise,
 imaginary noise, so tallies are independent of how run_trials splits the
-blocks of frames across worker processes.
+blocks of frames across worker processes: ProcessPoolExecutor.map hands
+each worker consecutive chunks of at most ceil(blocks / workers) whole
+blocks.
 
 Frames run in blocks of about BLOCK_SYMBOLS symbols (16384: 16 frames of
 ldpc1024, 2340 of hamming74). _pcg64_seeds hashes the block's
@@ -47,7 +49,14 @@ from . import codec
 from .awgn_info import GAMMA_MAX, NoiseModel
 from .ocb import Constellation, demap_stage1, demap_stage2, map_bits, reconstruct_v1
 
-STAGE2_MODES = ("reconstructed", "raw_hard", "genie")
+# the receivers: each stage2_input mode's axis word for stage 2, from the
+# config, stage 1's LLRs, decoder 1's source estimate and the sent block
+_STAGE2_AXIS = {
+    "reconstructed": lambda cfg, llr1, c1_hat, blk: reconstruct_v1(c1_hat, cfg.code1),
+    "raw_hard": lambda cfg, llr1, c1_hat, blk: (llr1 < 0.0).astype(np.uint8),
+    "genie": lambda cfg, llr1, c1_hat, blk: blk.v1,  # axis word forced correct
+}
+STAGE2_MODES = tuple(_STAGE2_AXIS)
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 BLOCK_SYMBOLS = 16384  # symbols per block of frames (at least one frame)
@@ -76,8 +85,7 @@ class LinkConfig:
             raise ValueError(
                 f"both streams must span the same block length, got {self.code1.M} and {self.code2.M}"
             )
-        if not 0.0 < self.alpha < math.inf:
-            raise ValueError("alpha must be positive and finite")
+        self._cons = Constellation(self.alpha)  # refuses an alpha that is not positive and finite
         if not 0.0 <= self.sigma2 < math.inf:
             raise ValueError("sigma2 must be finite and nonnegative")
         if self.trials < 1:
@@ -93,6 +101,8 @@ class LinkConfig:
                                       and self.gamma <= GAMMA_MAX):
             raise ValueError(f"2 alpha^2 and 2 alpha^2 / sigma2 must be at most {GAMMA_MAX:g}; "
                              "use --sigma2 0 for the noiseless limit")
+        # None is the demappers' noiseless limit
+        self._noise = None if self.sigma2 == 0.0 else NoiseModel(self.sigma2)
 
     @property
     def gamma(self) -> float:
@@ -141,29 +151,27 @@ class SimStats:
         merged.update(k1=self.k1, k2=self.k2, block_len=self.block_len)
         return SimStats(**merged)
 
-    @property
-    def ber1(self) -> float:
-        return self.bit_errors1 / (self.trials * self.k1)
+    def _counts(self) -> dict[str, tuple[int, int]]:
+        """(errors, n) behind each rate, keyed by the name ci95 takes."""
+        return {
+            "ber1": (self.bit_errors1, self.trials * self.k1),
+            "ber2": (self.bit_errors2, self.trials * self.k2),
+            "fer1": (self.frame_errors1, self.trials),
+            "fer2": (self.frame_errors2, self.trials),
+            "cond": (self.cond_errors, self.cond_events),
+        }
 
-    @property
-    def ber2(self) -> float:
-        return self.bit_errors2 / (self.trials * self.k2)
+    def _rate(self, which: str) -> float:
+        """errors / n, or NaN when n = 0 (undefined, not zero)."""
+        errors, n = self._counts()[which]
+        return errors / n if n else float("nan")
 
-    @property
-    def fer1(self) -> float:
-        return self.frame_errors1 / self.trials
-
-    @property
-    def fer2(self) -> float:
-        return self.frame_errors2 / self.trials
-
-    @property
-    def cond_ber2_given_v1_err(self) -> float:
-        """Stage-2 symbol error rate among symbols whose axis word was wrong.
-
-        NaN when no conditioning event occurred (undefined, not zero).
-        """
-        return self.cond_errors / self.cond_events if self.cond_events else float("nan")
+    ber1 = property(lambda self: self._rate("ber1"))
+    ber2 = property(lambda self: self._rate("ber2"))
+    fer1 = property(lambda self: self._rate("fer1"))
+    fer2 = property(lambda self: self._rate("fer2"))
+    # the stage-2 symbol error rate among symbols whose axis word was wrong
+    cond_ber2_given_v1_err = property(lambda self: self._rate("cond"))
 
     def ci95(self, which: str) -> float:
         """95% Wilson score half-width for one of ber1/ber2/fer1/fer2/cond.
@@ -171,16 +179,9 @@ class SimStats:
         The Wilson interval (Wilson 1927) is not centred on the point
         estimate p, so this is the larger of its two distances from p, and
         p +/- ci95 covers the interval. It stays positive at zero errors,
-        where it equals z^2 / (n + z^2).
+        where it equals z^2 / (n + z^2). NaN when n = 0.
         """
-        lookup = {
-            "ber1": (self.bit_errors1, self.trials * self.k1),
-            "ber2": (self.bit_errors2, self.trials * self.k2),
-            "fer1": (self.frame_errors1, self.trials),
-            "fer2": (self.frame_errors2, self.trials),
-            "cond": (self.cond_errors, self.cond_events),
-        }
-        errors, n = lookup[which]
+        errors, n = self._counts()[which]
         if n == 0:
             return float("nan")
         p = errors / n
@@ -318,20 +319,16 @@ def transmit_block(cfg: LinkConfig, trials: range) -> TxBlock:
     c2 = np.ascontiguousarray(top[:, 4 * w1:4 * w1 + k2])
     v1 = codec.encode(cfg.code1, c1)
     v2 = codec.encode(cfg.code2, c2)
-    y = map_bits(v1, v2, Constellation(cfg.alpha)) + noise[:, :m] + 1j * noise[:, m:]
+    y = map_bits(v1, v2, cfg._cons) + noise[:, :m] + 1j * noise[:, m:]
     return TxBlock(c1, c2, v1, v2, y)
 
 
-def _tally(cfg: LinkConfig, cons: Constellation, noise: NoiseModel | None, blk: TxBlock) -> SimStats:
-    """Receive a block of frames and count its errors; noise None is sigma2 = 0."""
+def _tally(cfg: LinkConfig, blk: TxBlock) -> SimStats:
+    """Receive a block of frames and count its errors."""
+    cons, noise = cfg._cons, cfg._noise
     llr1 = demap_stage1(blk.y, cons, noise)
     c1_hat = codec.decode(cfg.code1, llr1)
-    if cfg.stage2_input == "reconstructed":
-        v1_used = reconstruct_v1(c1_hat, cfg.code1)
-    elif cfg.stage2_input == "raw_hard":
-        v1_used = (llr1 < 0.0).astype(np.uint8)
-    else:  # genie: axis word forced correct
-        v1_used = blk.v1
+    v1_used = _STAGE2_AXIS[cfg.stage2_input](cfg, llr1, c1_hat, blk)
     llr2 = demap_stage2(blk.y, v1_used, cons, noise)
     c2_hat = codec.decode(cfg.code2, llr2)
 
@@ -353,32 +350,26 @@ def _tally(cfg: LinkConfig, cons: Constellation, noise: NoiseModel | None, blk: 
     )
 
 
-def _run_blocks(cfg: LinkConfig, blocks) -> SimStats:
-    """Tallies for a list of blocks, each a range of trial ids."""
-    cons = Constellation(cfg.alpha)
-    noise = None if cfg.sigma2 == 0.0 else NoiseModel(cfg.sigma2)
-    stats = SimStats(trials=0, k1=cfg.code1.K, k2=cfg.code2.K, block_len=cfg.code1.M)
-    for ids in blocks:
-        blk = transmit_block(cfg, ids)
-        stats = stats + _tally(cfg, cons, noise, blk)
-    return stats
+def _run_block(cfg: LinkConfig, trials: range) -> SimStats:
+    """Tallies of one block of frames, a range of trial ids."""
+    return _tally(cfg, transmit_block(cfg, trials))
 
 
 def run_trials(cfg: LinkConfig, threads: int = 1) -> SimStats:
-    """Full receiver chain over cfg.trials frames on min(threads, blocks)
-    worker processes, each running a contiguous run of whole blocks, whose
-    tallies add up in run order; with one worker it runs in-process. The
-    tallies do not depend on threads."""
+    """Full receiver chain over cfg.trials frames, on min(threads, blocks)
+    worker processes or, with one worker, in-process. The executor splits
+    the blocks into consecutive chunks of at most ceil(blocks / workers)
+    whole blocks, one task each, and the tallies add up in block order, so
+    they do not depend on threads."""
     per_block = max(1, BLOCK_SYMBOLS // cfg.code1.M)
     blocks = [range(t, min(t + per_block, cfg.trials)) for t in range(0, cfg.trials, per_block)]
     workers = min(threads, len(blocks))
+    empty = SimStats(trials=0, k1=cfg.code1.K, k2=cfg.code2.K, block_len=cfg.code1.M)
     if workers == 1:
-        return _run_blocks(cfg, blocks)
-    runs = [blocks[len(blocks) * i // workers:len(blocks) * (i + 1) // workers]
-            for i in range(workers)]
+        return sum((_run_block(cfg, ids) for ids in blocks), empty)
     # imported only when workers start, so importing linksim loads no multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(_run_blocks, [cfg] * workers, runs))
-    return sum(parts[1:], parts[0])
+        return sum(pool.map(_run_block, [cfg] * len(blocks), blocks,
+                            chunksize=-(-len(blocks) // workers)), empty)

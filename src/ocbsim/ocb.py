@@ -31,8 +31,8 @@ class Constellation:
     alpha: float
 
     def __post_init__(self):
-        if not (self.alpha > 0.0) or not np.isfinite(self.alpha):
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        if not 0.0 < self.alpha < np.inf:
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
 
     @property
     def amplitude(self) -> float:

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 from conftest import cli_env
-from hypothesis import given, seed, settings, strategies as st
+from hypothesis import event, given, seed, settings, strategies as st
 
 from ocbsim.rates import CSV_COLUMNS
 
@@ -921,3 +921,210 @@ def test_outputs_are_utf8_under_an_ascii_locale(tmp_path):
     assert b"\ncode1 = " + token + b"\n" in read(manifest)
     assert _manifest_digests(manifest) == {
         "sim.csv": hashlib.sha256(read(tmp_path / "out" / "sim.csv")).hexdigest()}
+
+
+# ---------------------------------------------------------------------------
+# every simulate and verify input runs or is refused
+
+# each option's (ordinary values, typed edge pool). Ordinary values lie inside
+# the option's range, its ends included; the edge pool holds both ends of float
+# range, a subnormal, tokens that are not ASCII numbers (non-ASCII digits, which
+# float() and int() take, a superscript two and an undecodable argv byte, which
+# they refuse) and values just outside the range. A byte-order mark and bytes
+# that are not UTF-8 reach the program through config and generator files.
+FLOAT_EDGES = ["0", "-0.0", "-1", "nan", "inf", "-inf", "1e-320", "1e308",
+               "", "two", "\u0662", "\u00b2", "\udcff"]
+INT_EDGES = ["-1", "0", "", "x", "1e3", "\u0662", "\udcff"]
+# a code of block length 7, M x K generator rows
+HAM_ROWS = "1 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n1 1 0 1\n1 0 1 1\n0 1 1 1\n"
+GENERATOR_FILES = ([HAM_ROWS.encode(), ("\ufeff" + HAM_ROWS).encode(), b"1\n" * 7],
+                   [b"\xff" + HAM_ROWS.encode(), b"", b"# no rows\n", b"0\n" * 7, b"1 1\n",
+                    b"1 0\n1\n", "1 \u0661\n".encode(), b"1 0\n0 2\n"])
+# block length 7 (@gen names the generator file), and names and lengths around the limits
+CODES = (["hamming74", "HAMMING74", "repetition7", "identity7", "@gen"],
+         ["repetition0", "identity0", "identity\u0667", "ldpc12", "ldpc11", "ldpc96", "bogus",
+          "", "\udcff"])
+COMMON_POOLS = {
+    "seed": (["0", "1", "4294967296", "18446744073709551616"], INT_EDGES),
+    # every run below is one block of frames, so --threads 2 starts no process
+    "threads": (["1", "2"], INT_EDGES),
+}
+SIMULATE_POOLS = {
+    # 2 alpha^2 is at most 1e300: alpha at most 7.07e149 while sigma2 > 0
+    "alpha": (["0.7", "1e-3", "7e149"], [*FLOAT_EDGES, "7.1e149"]),
+    # at the default alpha, gamma = 1 / sigma2 is at most 1e300
+    "sigma2": (["0", "0.5", "0.4,1.0", "1.01e-300"],
+               [*FLOAT_EDGES, "0.99e-300", ",", "0.5,nan", "1e-320,0"]),
+    "code1": CODES,
+    "code2": ([*CODES[0], "same"], CODES[1]),  # same: code1's token
+    "stage2_input": (["reconstructed", "raw_hard", "genie"], ["psychic", "RAW_HARD", ""]),
+}
+# the peak claimed gap is 0.235719 bits; the claim search starts where it is 0.00036
+VERIFY_POOLS = {
+    "quad_order": (["16", "128", "370"], [*INT_EDGES, "15", "371"]),
+    "mc_tol": (["0", "0.013", "1e308"], FLOAT_EDGES),
+    "gap_threshold": (["0.01", "0.00037", "0.2357"], [*FLOAT_EDGES, "0.00036", "0.2358"]),
+}
+# options every example sets, so no run is long: the defaults are 1000 frames,
+# or 200000 samples on 60 grid points and 400 genie frames
+SIMULATE_ALWAYS = {"trials": (["1", "2", "20"], INT_EDGES)}
+VERIFY_ALWAYS = {
+    "grid_points": (["1", "2", "3"], INT_EDGES),
+    "mc_samples": (["10000", "15000", "20000"],
+                   [*INT_EDGES, "9999", "1e4", "\u0661\u0660\u0660\u0660\u0660"]),
+    "trials": (["1", "20"], INT_EDGES),
+}
+CONFIG_HEADS = [b"", "\ufeff".encode(), b"# a comment\n"]
+CONFIG_TAILS = ([b""], [b"bogus = 1\n", b"trials\n", b"\xff\n"])
+MANIFESTS = {"simulate": "sim", "verify": "verify"}
+
+
+@st.composite
+def command_case(draw, command, pools, always):
+    """(argv, config bytes or None, generator bytes, options) for one run.
+
+    Up to two of the options, the config file's last line and the generator
+    file take a token from their edge pool; the rest take an ordinary value
+    or, for an option not in ``always``, are left out. Each option of the
+    command is a flag or, when a config file is drawn, maybe its line;
+    --seed and --threads are always flags, as a config file has no such key."""
+    pools = {**always, **pools, **COMMON_POOLS}
+    edged = draw(st.sets(st.sampled_from([*pools, "config", "generator"]), max_size=2))
+
+    def pick(name, pair, optional=True):
+        ordinary, edges = pair
+        if name in edged:
+            return draw(st.sampled_from(edges))
+        return draw(st.sampled_from([None, *ordinary] if optional else ordinary))
+
+    options = {}
+    for key, pair in pools.items():
+        token = pick(key, pair, optional=key not in always)
+        if token == "same":
+            token = options.get("code1")
+        if token is not None:
+            options[key] = token
+    if "ldpc96" in (options.get("code1"), options.get("code2")) and options["trials"] == "20":
+        options["trials"] = "4"
+    use_config = draw(st.booleans())
+    lines, argv = [], [command]
+    for key, token in options.items():
+        if use_config and key not in COMMON_POOLS and draw(st.booleans()):
+            lines.append(f"{key} = {token}\n".encode("utf-8", "surrogateescape"))
+        else:
+            argv.append(f"--{key.replace('_', '-')}={token}")
+    config = None
+    if use_config:
+        config = (draw(st.sampled_from(CONFIG_HEADS)) + b"".join(lines)
+                  + pick("config", CONFIG_TAILS, False))
+    return argv, config, pick("generator", GENERATOR_FILES, False), options
+
+
+def _expected_params(command, options):
+    """The manifest's parameter lines for a run given these option tokens."""
+    from ocbsim import cli
+
+    defaults = {**cli._COMMAND_DEFAULTS[command], "seed": 0}
+    params = {key: cli._fmt(value) for key, value in defaults.items()}
+    for key, token in options.items():
+        if key == "threads":  # no output depends on it
+            continue
+        if key == "sigma2":
+            params[key] = ",".join(cli._fmt(float(t) + 0.0) for t in token.split(",") if t.strip())
+        elif isinstance(defaults[key], str):
+            params[key] = token
+        else:
+            params[key] = cli._fmt((float if isinstance(defaults[key], float) else int)(token))
+    if command == "simulate" and "sigma2" not in options:
+        params["sigma2"] = ",".join(cli._fmt(s) for s in defaults["sigma2"])
+    return params
+
+
+def _manifest_params(path):
+    params = {}
+    for line in path.read_text(encoding="utf-8", errors="surrogateescape").splitlines():
+        key, _, value = line.partition(" = ")
+        if key not in ("command", "version", "wall_clock") and not key.startswith("output "):
+            params[key] = value
+    return params
+
+
+def _run_case(case, tmp):
+    """Run one drawn case in-process in the fresh directory tmp and check the
+    command-line contract: exit 0, 2, or 1 with a [FAIL] line; no traceback
+    and no RuntimeWarning; exit 2 writes nothing; the manifest records the
+    parameters. Returns (exit code, output directory, the manifest's parameters)."""
+    import contextlib
+    import io
+    import warnings
+
+    from ocbsim import cli
+
+    argv, config, generator, options = case
+    (tmp / "gen.txt").write_bytes(generator)
+    gen_token = f"@{tmp / 'gen.txt'}"
+    options = {k: gen_token if v == "@gen" else v for k, v in options.items()}
+    argv = [a.replace("=@gen", f"={gen_token}") for a in argv]
+    if config is not None:
+        (tmp / "run.cfg").write_bytes(config.replace(b"= @gen", f"= {gen_token}".encode()))
+        argv.append(f"--config={tmp / 'run.cfg'}")
+    out_dir = tmp / "out"
+    out_dir.mkdir()
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # escapes main as an exception
+        try:
+            code = cli.main([*argv, f"--out={out_dir}"])
+        except SystemExit as exc:  # argparse's usage error
+            code = exc.code
+    event(f"exit {code}")
+    assert "Traceback" not in stderr.getvalue(), argv
+    assert code in (0, 1, 2), (argv, code)
+    if code == 2:
+        assert list(out_dir.iterdir()) == [], argv
+        return code, out_dir, None
+    if code == 1:
+        assert re.search(r"^\[FAIL\] ", stdout.getvalue(), re.M), argv
+    params = _manifest_params(out_dir / f"{MANIFESTS[argv[0]]}.manifest.txt")
+    assert params == _expected_params(argv[0], options), argv
+    return code, out_dir, params
+
+
+@seed(20190424)
+@settings(max_examples=300, deadline=None)
+@given(command_case("simulate", SIMULATE_POOLS, SIMULATE_ALWAYS))
+def test_every_simulate_run_writes_its_rows_or_exits_2_writing_nothing(case):
+    with tempfile.TemporaryDirectory() as tmp:  # hypothesis refuses function-scoped fixtures
+        code, out_dir, params = _run_case(case, Path(tmp))
+        assert code in (0, 2), case[0]
+        if code == 2:
+            return
+        # one row per noise level, each with the parameters the manifest records
+        header, *rows = (out_dir / "sim.csv").read_text(
+            encoding="utf-8", errors="surrogateescape").splitlines()
+        rows = [dict(zip(header.split(","), row.split(","))) for row in rows]
+        assert ",".join(row["sigma2"] for row in rows) == params["sigma2"], case[0]
+        for row in rows:
+            assert {k: row[k] for k in ("alpha", "code1", "code2", "trials", "stage2_input")} == {
+                k: params[k] for k in ("alpha", "code1", "code2", "trials", "stage2_input")}, case[0]
+
+
+@seed(20190425)
+@settings(max_examples=150, deadline=None)
+@given(command_case("verify", VERIFY_POOLS, VERIFY_ALWAYS))
+def test_every_verify_run_reports_or_exits_2_writing_nothing(case):
+    with tempfile.TemporaryDirectory() as tmp:
+        code, out_dir, _ = _run_case(case, Path(tmp))
+        if code != 2:
+            text = (out_dir / "verify.txt").read_text(encoding="utf-8")
+            assert ("[FAIL] " in text) == (code == 1), case[0]
+
+
+@pytest.mark.parametrize("threads", ["3", "64", "100000", "18446744073709551616"])
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+def test_large_thread_counts_parse(command, threads):
+    # parse only: a run would ask for up to min(threads, blocks) worker processes
+    from ocbsim import cli
+
+    assert cli.build_parser().parse_args([command, f"--threads={threads}"]).threads == int(threads)

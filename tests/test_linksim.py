@@ -316,8 +316,9 @@ def test_identical_configs_give_identical_stats():
 @pytest.fixture
 def serial_pool(monkeypatch):
     """Swap the ProcessPoolExecutor that run_trials imports when it starts
-    workers for a stand-in that records its size and the parts it is given
-    and runs them in order in this process; returns the list of pools made."""
+    workers for a stand-in that records its size and the chunks its map
+    makes, each a list of argument tuples, as ProcessPoolExecutor.map cuts
+    them, and runs them in order in this process; returns the list of pools made."""
     made = []
 
     class SerialPool:
@@ -332,9 +333,10 @@ def serial_pool(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, *iterables):
-            self.parts = list(zip(*iterables))
-            return [fn(*part) for part in self.parts]
+        def map(self, fn, *iterables, chunksize=1):
+            calls = list(zip(*iterables))
+            self.parts = [calls[i:i + chunksize] for i in range(0, len(calls), chunksize)]
+            return [fn(*call) for part in self.parts for call in part]
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     return made
@@ -372,11 +374,13 @@ def test_threads_split_the_blocks_into_contiguous_runs(monkeypatch, serial_pool,
         assert serial_pool == []  # in-process
         return
     (pool,) = serial_pool
-    assert pool.max_workers == workers and len(pool.parts) == workers
-    runs = [run for _, run in pool.parts]
-    assert all(runs)  # no empty part
-    # the parts, in order, are runs of whole blocks that cover every trial once
-    assert [ids for run in runs for ids in run] == [
+    assert pool.max_workers == workers
+    chunks = [[ids for _, ids in part] for part in pool.parts]
+    # at most one chunk per worker, none empty, none longer than the largest even share
+    assert len(chunks) <= workers
+    assert all(0 < len(chunk) <= -(-blocks // workers) for chunk in chunks)
+    # the chunks, in order, are runs of consecutive whole blocks that cover every trial once
+    assert [ids for chunk in chunks for ids in chunk] == [
         range(t, min(t + 40, trials)) for t in range(0, trials, 40)]
 
 
@@ -510,19 +514,29 @@ def test_noiseless_limit_saturates_at_the_decoder_clip():
 # statistics containers
 
 
+# (errors, n) of each rate of FULL, by the name ci95 takes
+FULL = SimStats(trials=10, k1=4, k2=5, block_len=7,
+                bit_errors1=3, bit_errors2=1, frame_errors1=2, frame_errors2=1,
+                cond_events=5, cond_errors=2)
+FULL_COUNTS = {"ber1": (3, 40), "ber2": (1, 50), "fer1": (2, 10), "fer2": (1, 10), "cond": (2, 5)}
+RATE_NAMES = {"ber1": "ber1", "ber2": "ber2", "fer1": "fer1", "fer2": "fer2",
+              "cond": "cond_ber2_given_v1_err"}
+
+
 def test_stats_rates_are_count_ratios():
-    s = SimStats(trials=10, k1=4, k2=4, block_len=7,
-                 bit_errors1=3, bit_errors2=1, frame_errors1=2, frame_errors2=1,
-                 cond_events=5, cond_errors=2)
-    assert s.ber1 == 3 / 40 and s.ber2 == 1 / 40
-    assert s.fer1 == 0.2 and s.fer2 == 0.1
-    assert s.cond_ber2_given_v1_err == 0.4
+    for which, (errors, n) in FULL_COUNTS.items():
+        assert getattr(FULL, RATE_NAMES[which]) == errors / n, which
 
 
 def test_conditional_rate_is_nan_without_events():
     s = SimStats(trials=10, k1=4, k2=4, block_len=7)
     assert math.isnan(s.cond_ber2_given_v1_err)
     assert np.isnan(s.ci95("cond"))
+    # no trials: every rate is undefined, not a ZeroDivisionError
+    empty = SimStats(trials=0, k1=4, k2=4, block_len=7)
+    for which, name in RATE_NAMES.items():
+        assert math.isnan(getattr(empty, name)), name
+        assert math.isnan(empty.ci95(which)), which
 
 
 def _wilson_bounds(errors, n, z=1.959963984540054):
@@ -541,12 +555,11 @@ def test_ci95_is_positive_with_zero_errors():
 
 
 def test_ci95_covers_the_wilson_interval():
-    s = SimStats(trials=50, k1=4, k2=4, block_len=7, bit_errors1=37, frame_errors1=12)
-    for which, errors, n in (("ber1", 37, 200), ("fer1", 12, 50)):
+    for which, (errors, n) in FULL_COUNTS.items():
         lo, hi = _wilson_bounds(errors, n)
         p = errors / n
-        assert s.ci95(which) == pytest.approx(max(p - lo, hi - p), rel=1e-12)
-        assert p - s.ci95(which) <= lo + 1e-15 and hi - 1e-15 <= p + s.ci95(which)
+        assert FULL.ci95(which) == pytest.approx(max(p - lo, hi - p), rel=1e-12), which
+        assert p - FULL.ci95(which) <= lo + 1e-15 and hi - 1e-15 <= p + FULL.ci95(which), which
 
 
 def test_stats_merge_adds_tallies():
