@@ -24,7 +24,14 @@ far from the origin and the noise stays exact next to any amplitude up to
 the SNR ceiling GAMMA_MAX; and from the split of the Gaussian exponent by
 dimension: one exponentiated (K, K, N) factor table per dimension,
 contracted over the points by one batched product for all K components, so
-its working set is O(K N^2). Its nodes are the roots of the Hermite
+its working set is O(K N^2). A D = 2 alphabet of equal priors is one orbit
+when the square's symmetries (x, y) -> (+-x, +-y), (+-y, +-x) that map it
+onto itself carry point 0 onto every point, as they do QPSK and the rotated
+axis set; the kernel then builds component 0's tables alone, a K-th of the
+work and memory, and counts its sum K times. That is exact up to rounding:
+the rule's nodes and weights are symmetric bit for bit, so those maps keep
+the tensor grid too, and each component's discrete sum is component 0's in
+another order. Its nodes are the roots of the Hermite
 polynomial H_N, found by Newton's method on the three-term recurrence from
 an asymptotic first guess, and its weights follow from H_{N-1} at the
 roots: no eigensolver, so no rate path calls LAPACK, whose threaded kernels
@@ -249,6 +256,32 @@ def _unit_factor(k: int):
     return table, shift, weight
 
 
+def _one_orbit(points: np.ndarray, probs: np.ndarray) -> bool:
+    """Whether a (K, 2) alphabet is one orbit of the square's symmetries that keep it.
+
+    True when the priors are equal, the points are distinct, and the maps
+    among (x, y) -> (+-x, +-y), (+-y, +-x) that send the point set onto
+    itself carry point 0 onto every point. Negation and the swap are exact,
+    and +0 and -0 compare equal, so the test is exact.
+    """
+    prior = probs.tolist()
+    if prior.count(prior[0]) != len(prior):
+        return False
+    pts = list(map(tuple, points.tolist()))
+    kept = set(pts)
+    if len(kept) != len(pts):
+        return False
+    orbit = {pts[0]}  # the images of point 0 under the maps that keep the set
+    for base in (pts, [(v, u) for u, v in pts]):  # without the swap, then with it
+        u0, v0 = base[0]
+        for sx, sy in ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)):
+            image = (sx * u0, sy * v0)
+            # a map that moves point 0 off the set, or onto a point already reached, adds nothing
+            if image in kept and image not in orbit and {(sx * u, sy * v) for u, v in base} == kept:
+                orbit.add(image)
+    return len(orbit) == len(pts)
+
+
 def _quadrature(points: np.ndarray, probs: np.ndarray, sigma: float, order: int) -> float:
     """I(X;Y) in bits for (K, D) points with positive priors, at noise sigma per dimension.
 
@@ -273,6 +306,17 @@ def _quadrature(points: np.ndarray, probs: np.ndarray, sigma: float, order: int)
     shifts added back follow. For D = 1, B is a column of ones. Peak memory
     is the (K, N, N) product, 2 MB at K = 16, N = 128.
 
+    A D = 2 alphabet that ``_one_orbit`` finds to be one orbit of the
+    square's symmetries builds the tables of component 0 alone, so its
+    product is (1, N, N), 1.1 MB at N = 370. Each symmetry g that keeps the
+    alphabet maps the mixture onto itself, and the tensor rule too, since its
+    nodes and weights are symmetric bit for bit and shared by both
+    dimensions; so the term of component g(s_0) at node u is component 0's at
+    node g^-1 u, and each component's sum is component 0's in another order.
+    Component 0's row of sums over j is repeated K times and contracted as
+    the full table's rows are, which keeps a degenerate value's last bit
+    (QPSK at sigma2 = 1e-300 reads 1.9999999999999993 either way).
+
     Where the two factors peak at different points, a product can underflow.
     Its own term l = k keeps it at least pi_k exp(-shift_i - shift_j), and
     each shift is at most x^2, so it underflows only where
@@ -283,12 +327,15 @@ def _quadrature(points: np.ndarray, probs: np.ndarray, sigma: float, order: int)
     scale = np.sqrt(0.5) * sigma  # sqrt(2 sigma2) / 2; 2 sigma2 itself can overflow
     x, w = _gh_nodes(order)
     k, dims = points.shape
-    factors = []  # per dimension: the (K, K, N) table, its (K, 1, N) shift, the weights
-    for c in 0.5 * points.T:  # halved, so no difference overflows
-        offsets = ((c - c[:, None]) / scale)[..., None]  # s_l - s_k in noise units
-        expo = (2.0 * x - offsets) * offsets
-        shift = expo.max(axis=1, keepdims=True)
-        factors.append((np.exp(np.subtract(expo, shift, out=expo), out=expo), shift, w))
+    one_orbit = dims == 2 and _one_orbit(points, probs)
+    rows = slice(1) if one_orbit else slice(None)  # the R components whose tables are built
+    c = 0.5 * points.T  # halved, so no difference overflows
+    offsets = ((c[:, None, :] - c[:, rows, None]) / scale)[..., None]  # s_l - s_k in noise units
+    expo = (2.0 * x - offsets) * offsets
+    shift = expo.max(axis=2, keepdims=True)
+    tables = np.exp(np.subtract(expo, shift, out=expo), out=expo)
+    # per dimension: the (R, K, N) table, its (R, 1, N) shift, the weights
+    factors = [(tables[d], shift[d], w) for d in range(dims)]
     if dims == 1:
         factors.append(_unit_factor(k))
     (a, shift_a, w_a), (b, shift_b, w_b) = factors
@@ -297,7 +344,10 @@ def _quadrature(points: np.ndarray, probs: np.ndarray, sigma: float, order: int)
     lnp = np.log(np.maximum(mix, _TINY, out=mix), out=mix)
     lnp += shift_a.transpose(0, 2, 1)
     lnp += shift_b
-    lnp = lnp @ w_b @ w_a
+    lnp = lnp @ w_b
+    if one_orbit:  # component 0's row for every k, contracted as the full table's rows are
+        lnp = np.repeat(lnp, k, axis=0)
+    lnp = lnp @ w_a
     bits = -float(probs @ lnp) / np.pi ** (0.5 * dims) / LN2
     return _clip_bits(bits, k)
 

@@ -112,13 +112,16 @@ _positive_int = _int_in(1)
 
 
 def _float_in(lo: float, open_lo: bool = False):
-    """An argparse type taking finite floats at least lo, or above lo with ``open_lo``."""
+    """An argparse type taking finite floats at least lo, or above lo with ``open_lo``.
+
+    -0.0 comes back as 0.0, so the manifest records the value the run uses.
+    """
     def parse(raw: str) -> float:
         value = float(raw)
         if not ((lo < value if open_lo else lo <= value) and value < float("inf")):
             bound = f"in ({lo:g}, inf)" if open_lo else f"in [{lo:g}, inf)"
             raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
-        return value
+        return value + 0.0
     parse.__name__ = "float"  # argparse names the type in its "invalid float value" error
     return parse
 

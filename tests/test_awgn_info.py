@@ -589,6 +589,130 @@ def test_2d_quadrature_at_the_snr_ceiling_on_the_largest_rule(points):
     assert abs(r.bits - 2.0) < 1e-12
 
 
+# ---------------------------------------------------------------------------
+# the one-orbit reduction: an alphabet the square's symmetries carry point 0
+# across takes one mixture component's table in place of K
+
+ORBIT_SETS = {
+    "qpsk": [(INV2, INV2), (INV2, -INV2), (-INV2, INV2), (-INV2, -INV2)],
+    "rotated": [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)],
+    # one orbit under the sign flips alone
+    "rectangle": [(1.0, 0.4), (1.0, -0.4), (-1.0, 0.4), (-1.0, -0.4)],
+}
+
+
+def _all_components(monkeypatch, alphabet, noise, order):
+    """mi_awgn with the one-orbit test off, so every component's table is built."""
+    with monkeypatch.context() as patch:
+        patch.setattr(ai, "_one_orbit", lambda points, probs: False)
+        return ai.mi_awgn(alphabet, noise, order).bits
+
+
+def _per_dimension_kernel(alphabet, noise, order):
+    """The kernel's arithmetic before the one-orbit test: a loop over the dimensions, all K components."""
+    keep = alphabet.probs > 0.0
+    points, probs = alphabet.points[keep], alphabet.probs[keep]
+    if np.all(points == points[0]):
+        return 0.0
+    scale = np.sqrt(0.5) * noise.sigma
+    x, w = ai._gh_nodes(order)
+    k, dims = points.shape
+    factors = []
+    for c in 0.5 * points.T:
+        offsets = ((c - c[:, None]) / scale)[..., None]
+        expo = (2.0 * x - offsets) * offsets
+        shift = expo.max(axis=1, keepdims=True)
+        factors.append((np.exp(expo - shift), shift, w))
+    if dims == 1:
+        factors.append((np.ones((k, k, 1)), np.zeros((k, 1, 1)), np.ones(1)))
+    (a, shift_a, w_a), (b, shift_b, w_b) = factors
+    a *= probs[:, None]
+    mix = np.matmul(a.transpose(0, 2, 1), b)
+    lnp = np.log(np.maximum(mix, ai._TINY)) + shift_a.transpose(0, 2, 1) + shift_b
+    bits = -float(probs @ (lnp @ w_b @ w_a)) / np.pi ** (0.5 * dims) / LN2
+    return ai._clip_bits(bits, k)
+
+
+@pytest.mark.parametrize("points,one_orbit", [
+    (ORBIT_SETS["qpsk"], True),
+    (ORBIT_SETS["rotated"], True),
+    (ORBIT_SETS["rectangle"], True),
+    ([(1.0, 0.4), (1.0, -0.4), (-1.0, 0.4), (-1.0, -0.4),
+      (0.4, 1.0), (-0.4, 1.0), (0.4, -1.0), (-0.4, -1.0)], True),  # all eight maps
+    ([(1.0, 2.0), (2.0, 1.0)], True),  # the swap alone
+    ([(0.0, 1.0), (-0.0, -1.0)], True),  # -0 is 0
+    ([(1.0, 2.0), (2.0, -1.0)], False),  # each point an image of the other, by no map of the set
+    ([(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0)], False),
+    ([(0.0, 0.0), (30.0, -30.0), (-30.0, 30.0)], False),  # symmetric, two orbits
+    ([(1.0, 0.0), (INV2, INV2), (0.0, 1.0), (-INV2, INV2),
+      (-1.0, 0.0), (-INV2, -INV2), (0.0, -1.0), (INV2, -INV2)], False),  # 8-PSK: two orbits
+])
+def test_one_orbit_names_the_alphabets_one_symmetry_orbit_covers(points, one_orbit):
+    points = np.array(points)
+    probs = np.full(len(points), 1.0 / len(points))
+    assert ai._one_orbit(points, probs) is one_orbit
+
+
+@pytest.mark.parametrize("order", [16, 64, 128, 370])
+@pytest.mark.parametrize("sigma2", [1e-300, 0.35, 1.0, 1e6, "ceiling"])
+@pytest.mark.parametrize("name", sorted(ORBIT_SETS))
+def test_one_orbit_reduction_is_the_all_components_sum_to_rounding(name, sigma2, order, monkeypatch):
+    # the nodes and weights are symmetric bit for bit, so each component's discrete
+    # sum is point 0's summed in another order
+    points = np.array(ORBIT_SETS[name])
+    if sigma2 == "ceiling":
+        points, sigma2 = np.sqrt(ai.GAMMA_MAX) * points, 1.0
+    alphabet, noise = ai.PointSet.uniform(points), ai.NoiseModel(sigma2)
+    assert ai._one_orbit(alphabet.points, alphabet.probs)
+    got = ai.mi_awgn(alphabet, noise, order).bits
+    assert abs(got - _all_components(monkeypatch, alphabet, noise, order)) <= 4 * np.spacing(2.0)
+
+
+@pytest.mark.parametrize("sigma2", [0.35, 1.0, 4.0])
+def test_one_orbit_rectangle_matches_reference(sigma2):
+    points = np.array(ORBIT_SETS["rectangle"])
+    probs = np.full(4, 0.25)
+    got = ai.mi_awgn(ai.PointSet(points, probs), ai.NoiseModel(sigma2)).bits
+    want = _clipped(_ref_mi_quadrature(points, probs, sigma2, ai.DEFAULT_QUAD_ORDER), 4)
+    assert abs(got - want) < 1e-12
+
+
+QPSK_SQUARE = np.array(ORBIT_SETS["qpsk"])
+
+
+@pytest.mark.parametrize("points,probs", [
+    (np.array([(0.0, 0.0), (30.0, -30.0), (-30.0, 30.0)]), np.full(3, 1.0 / 3.0)),  # not one orbit
+    (QPSK_SQUARE, np.array([0.4, 0.2, 0.2, 0.2])),  # unequal priors
+    (np.vstack([QPSK_SQUARE, QPSK_SQUARE[:1]]), np.full(5, 0.2)),  # a repeated point
+    *(_random_alphabet(seed, 2)[:2] for seed in range(16)),
+    *(_random_alphabet(seed, 1)[:2] for seed in range(1, 16, 3)),
+    (np.array([-1.0, 1.0]), np.full(2, 0.5)),  # BPSK
+    (np.array([-1.0, 0.0, 1.0]), np.full(3, 1.0 / 3.0)),  # symmetric 1D
+], ids=["clamp", "priors", "repeat", *(f"random2d-{s}" for s in range(16)),
+        *(f"random1d-{s}" for s in range(1, 16, 3)), "bpsk", "pam3"])
+def test_other_alphabets_keep_the_all_components_bits(points, probs, monkeypatch):
+    # the clamp set saturates at sigma2 = 1, where the underflow clamp engages; at 2000 it does not
+    alphabet = ai.PointSet(points, probs)
+    for noise in (ai.NoiseModel(1.0), ai.NoiseModel(2000.0)):
+        for order in (16, ai.MAX_QUAD_ORDER):
+            want = _all_components(monkeypatch, alphabet, noise, order)
+            assert ai.mi_awgn(alphabet, noise, order).bits == want
+            assert want == _per_dimension_kernel(alphabet, noise, order)
+
+
+def test_one_orbit_alphabet_holds_one_components_table():
+    # all K = 4 components' (K, N, N) mixture table would take 4.4 MB at order 370
+    order = ai.MAX_QUAD_ORDER
+    ai.mi_qpsk(1.0, order)  # fill the node cache first
+    tracemalloc.start()
+    try:
+        ai.mi_qpsk(1.0, order)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * order * order * 8
+
+
 def _ref_two_pass(values):
     values = np.concatenate(values)
     dev = values - values.mean()

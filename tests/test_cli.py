@@ -687,6 +687,16 @@ def test_verify_unattainable_tolerance_fails_loudly(tmp_path):
     assert "FAILED" in out.stdout
 
 
+def test_verify_manifest_records_a_negative_zero_tolerance_as_0(tmp_path):
+    from ocbsim import cli
+
+    for name, token in (("zero", "0"), ("minus", "-0.0")):
+        assert cli.main([*VERIFY_FAST, f"--mc-tol={token}", "--out", str(tmp_path / name)]) == 0
+    assert read(tmp_path / "minus" / "verify.txt") == read(tmp_path / "zero" / "verify.txt")
+    # the manifest records the tolerance that ran, as simulate records its noise variance
+    assert b"\nmc_tol = 0\n" in read(tmp_path / "minus" / "verify.manifest.txt")
+
+
 @pytest.mark.parametrize(
     "flag,value",
     [("--mc-tol", "-1"), ("--mc-tol", "nan"), ("--mc-tol", "inf"), ("--grid-points", "0"),
@@ -1033,8 +1043,10 @@ def _expected_params(command, options):
             params[key] = ",".join(cli._fmt(float(t) + 0.0) for t in token.split(",") if t.strip())
         elif isinstance(defaults[key], str):
             params[key] = token
+        elif isinstance(defaults[key], float):  # -0.0 is recorded as the 0 the run uses
+            params[key] = cli._fmt(float(token) + 0.0)
         else:
-            params[key] = cli._fmt((float if isinstance(defaults[key], float) else int)(token))
+            params[key] = cli._fmt(int(token))
     if command == "simulate" and "sigma2" not in options:
         params["sigma2"] = ",".join(cli._fmt(s) for s in defaults["sigma2"])
     return params
